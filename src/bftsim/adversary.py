@@ -41,12 +41,25 @@ def counteract_bad_values(sigma, good_sum, bad_weights, x_max, m, slack=0.0):
     return targets
 
 
+def draw_index(getrandbits, size):
+    """Uniform index below ``size`` drawn exactly as ``Random.choice`` draws
+    it (CPython's ``_randbelow_with_getrandbits``): same values, same
+    generator state afterwards, one Python frame instead of two."""
+    k = size.bit_length()
+    r = getrandbits(k)
+    while r >= size:
+        r = getrandbits(k)
+    return r
+
+
 class Strategy:
     """Base scheduling strategy: uniform-ish fair interleaving, no corruption.
 
     Subclasses restricting the schedule set ``restricted`` and override the
     ``_allowed_*`` predicates; event choice then rejection-samples with a
     filtered fallback, keeping the unrestricted path allocation-free.
+    Subclasses that corrupt override ``_corruption_due``; it is consulted
+    before every event only for them.
     """
 
     name = "honest-random"
@@ -58,6 +71,7 @@ class Strategy:
         self.rng = random.Random(f"{seed}/adv/{self.name}")
         self.world = None
         self._maybe_unstarted = True
+        self._corrupts = type(self)._corruption_due is not Strategy._corruption_due
 
     def setup(self, world):
         self.world = world
@@ -81,43 +95,46 @@ class Strategy:
         return None
 
     def _pick_deliver(self, view, outs):
-        rng = self.rng
+        getrandbits = self.rng.getrandbits
         if not self.restricted:
-            return rng.choice(outs)
+            return outs[draw_index(getrandbits, len(outs))]
+        allowed = self._allowed_deliver
         for _ in range(6):
-            cand = rng.choice(outs)
-            if self._allowed_deliver(view, *cand):
+            cand = outs[draw_index(getrandbits, len(outs))]
+            if allowed(view, cand[0], cand[1]):
                 return cand
-        legal = [e for e in outs if self._allowed_deliver(view, *e)]
-        return rng.choice(legal) if legal else None
+        legal = [e for e in outs if allowed(view, e[0], e[1])]
+        return legal[draw_index(getrandbits, len(legal))] if legal else None
 
     def _pick_compute(self, view, ins):
-        rng = self.rng
+        getrandbits = self.rng.getrandbits
         if not self.restricted:
-            return rng.choice(ins)
+            return ins[draw_index(getrandbits, len(ins))]
+        allowed = self._allowed_compute
         for _ in range(6):
-            cand = rng.choice(ins)
-            if self._allowed_compute(view, cand):
+            cand = ins[draw_index(getrandbits, len(ins))]
+            if allowed(view, cand):
                 return cand
-        legal = [i for i in ins if self._allowed_compute(view, i)]
-        return rng.choice(legal) if legal else None
+        legal = [i for i in ins if allowed(view, i)]
+        return legal[draw_index(getrandbits, len(legal))] if legal else None
 
     def next_event(self, view):
-        pid = self._corruption_due(view)
-        if pid is not None:
-            return (CORRUPT, pid)
+        if self._corrupts:
+            pid = self._corruption_due(view)
+            if pid is not None:
+                return (CORRUPT, pid)
         world = self.world
         unstarted = ()
         if self._maybe_unstarted:
             unstarted = [
                 i
-                for i in range(view.n)
+                for i in range(world.params.n)
                 if not world.started[i] and self._allowed_compute(view, i)
             ]
             if not unstarted and all(world.started):
                 self._maybe_unstarted = False
-        outs = view.pending_out()
-        ins = view.pending_in()
+        outs = world._out_list
+        ins = world._in_list
         roll = self.rng.random()
         if unstarted and (roll < 0.25 or not (outs or ins)):
             return (COMPUTE, self.rng.choice(unstarted))
@@ -154,16 +171,14 @@ class FuzzSchedule(Strategy):
         self.slowed = frozenset()
         self._ttl = 0
 
-    def _refresh(self, view):
+    def next_event(self, view):
         if self._ttl <= 0:
-            count = self.rng.randint(0, view.params.f)
-            self.slowed = frozenset(self.rng.sample(range(view.n), count))
+            params = self.world.params
+            count = self.rng.randint(0, params.f)
+            self.slowed = frozenset(self.rng.sample(range(params.n), count))
             self._ttl = self.rng.randint(50, 400)
         self._ttl -= 1
-
-    def next_event(self, view):
-        self._refresh(view)
-        return super().next_event(view)
+        return Strategy.next_event(self, view)
 
     def _allowed_compute(self, view, pid):
         if pid in self.slowed and self.rng.random() < 0.95:

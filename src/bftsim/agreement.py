@@ -13,6 +13,7 @@ participant disclosed in its row-0 writes at epoch boundaries.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .blackboard import ACK, LAST, VOTE, WRITE, BlackboardNode, FinalView
@@ -177,6 +178,15 @@ def epoch_advance(weights, dev, corr, params: ProtocolParams):
     return weight_update_local(weights, matching), matching, deps
 
 
+def _weak(method):
+    """``method`` as a callback that does not keep its object alive.  The RB
+    and blackboard nodes call back into the process that owns them; with
+    strong callbacks every finished world would be cyclic garbage that only
+    the garbage collector frees, many runs later."""
+    func, ref = method.__func__, weakref.ref(method.__self__)
+    return lambda *args: func(ref(), *args)
+
+
 class _ProtocolProcess:
     """Shared plumbing: one RB node, one blackboard node, wire fanout."""
 
@@ -184,18 +194,20 @@ class _ProtocolProcess:
         self.pid = pid
         self.params = params
         self.n = params.n
+        self._others = [dst for dst in range(params.n) if dst != pid]  # fan-out order
         self.rng = random.Random(f"{seed}/proc/{pid}")
-        self.coin_source = coin_source or (lambda t, r: self.rng.choice((-1, 1)))
-        self.rb = RBNode(pid, params, gate=self._gate, on_accept=self._on_accept)
+        self.coin_source = coin_source  # None: a fair coin from self.rng
+        self.rb = RBNode(pid, params, gate=_weak(self._gate), on_accept=_weak(self._on_accept))
         self.board = BlackboardNode(
-            pid, params, self._coin_value, self.rb.broadcast, on_final=self._board_final
+            pid, params, _weak(self._coin_value), self.rb.broadcast,
+            on_final=_weak(self._board_final),
         )
         self._final_ready = []
         self.started_flag = False
         self.write_log = {}  # (t, r) -> generated coin value, visible to the adversary
 
     def _coin_value(self, t, r):
-        v = self.coin_source(t, r)
+        v = self.rng.choice((-1, 1)) if self.coin_source is None else self.coin_source(t, r)
         self.write_log[(t, r)] = v
         return v
 
@@ -221,9 +233,9 @@ class _ProtocolProcess:
         return self._flush()
 
     def on_compute(self, inbox):
-        for src, msg in inbox:
-            kind, origin, seq, payload = msg
-            self.rb.handle(src, kind, origin, seq, payload)
+        handle = self.rb.handle
+        for src, (kind, origin, seq, payload) in inbox:
+            handle(src, kind, origin, seq, payload)
         return self._flush()
 
     def _flush(self):
@@ -231,13 +243,8 @@ class _ProtocolProcess:
             self.rb.pump()
             if not self._advance():
                 break
-        wire = self.rb.take_wire()
-        out = []
-        for w in wire:
-            for dst in range(self.n):
-                if dst != self.pid:
-                    out.append((dst, w))
-        return out
+        others = self._others
+        return [(dst, w) for w in self.rb.take_wire() for dst in others]
 
 
 class BlackboardProcess(_ProtocolProcess):
@@ -404,7 +411,7 @@ def check_agreement(inputs, decisions, good_pids, *, finished: bool) -> Agreemen
             violations.append(f"validity: unanimous input {want} but decided {values}")
     lag_ok = True
     all_decided = len(good_decs) == len(good_pids)
-    if all_decided and good_decs:
+    if good_decs:
         its = [d.iteration for d in good_decs]
         if max(its) - min(its) > 1:
             lag_ok = False

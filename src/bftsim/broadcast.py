@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 INIT, ECHO, READY = 0, 1, 2
 _KIND_NAMES = {INIT: "init", ECHO: "echo", READY: "ready"}
+_CLOSED = object()  # equal to no payload: no gate has opened yet
+_NOBODY = frozenset()
 
 
 class FifoViolation(RuntimeError):
@@ -63,6 +65,7 @@ class RBInstance:
         "pending",
         "seen",
         "banned",
+        "opened",
     )
 
     def __init__(self, origin, seq):
@@ -75,9 +78,13 @@ class RBInstance:
         self.sent_echo = False
         self.sent_ready = False
         self.accepted = None
-        self.pending = []
+        # pending and banned stay shared empty immutables until first used:
+        # most instances never need them, and every container an instance
+        # allocates is one more object for the garbage collector to track
+        self.pending = ()  # gated (src, kind, payload); a list once one arrives
         self.seen = {}  # (sender, kind) -> payload index
-        self.banned = set()
+        self.banned = _NOBODY  # equivocating senders; a set once one is found
+        self.opened = _CLOSED  # a payload whose participation gate has opened
 
     def _index(self, payload):
         for k, p in enumerate(self.payloads):
@@ -95,6 +102,7 @@ class RBInstance:
             return None
         idx = self._index(payload)
         key = (src, kind)
+        key = node.seen_keys.setdefault(key, key)  # one shared key tuple per (sender, kind)
         prev = self.seen.get(key)
         if prev is None:
             self.seen[key] = idx
@@ -104,49 +112,45 @@ class RBInstance:
                     self.origin, self.seq, src, kind, (self.payloads[prev], payload)
                 )
             )
-            self.banned.add(src)
+            self.banned = self.banned | {src}
             return None
         else:
             return None  # duplicate, idempotent
 
+        echo = self.echo[idx]
+        ready = self.ready[idx]
         if kind == INIT:
             if src != self.origin:
                 return None
             self.init_idx = idx
         elif kind == ECHO:
-            self.echo[idx].add(src)
+            echo.add(src)
         elif kind == READY:
-            self.ready[idx].add(src)
-        return self._drive(node)
+            ready.add(src)
 
-    def _drive(self, node):
-        accepted_now = None
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(self.payloads)):
-                if not self.sent_echo and (
-                    self.init_idx == idx
-                    or len(self.echo[idx]) >= node.echo_quorum
-                    or len(self.ready[idx]) >= node.ready_support
-                ):
-                    self.sent_echo = True
-                    self.echo[idx].add(node.pid)
-                    node.emit(ECHO, self.origin, self.seq, self.payloads[idx])
-                    changed = True
-                if not self.sent_ready and (
-                    len(self.echo[idx]) >= node.echo_quorum
-                    or len(self.ready[idx]) >= node.ready_support
-                ):
-                    self.sent_ready = True
-                    self.ready[idx].add(node.pid)
-                    node.emit(READY, self.origin, self.seq, self.payloads[idx])
-                    changed = True
-                if self.accepted is None and len(self.ready[idx]) >= node.accept_quorum:
-                    self.accepted = self.payloads[idx]
-                    accepted_now = self.payloads[idx]
-                    changed = True
-        return accepted_now
+        # Only payload idx's counts changed since the instance was last at a
+        # fixpoint, so one pass over its triggers, in the order echo, ready,
+        # accept, reaches the fixpoint again: each trigger only adds to the
+        # counts the later ones read, and any condition that fires ready also
+        # fires echo.
+        if not self.sent_echo and (
+            self.init_idx == idx
+            or len(echo) >= node.echo_quorum
+            or len(ready) >= node.ready_support
+        ):
+            self.sent_echo = True
+            echo.add(node.pid)
+            node.emit(ECHO, self.origin, self.seq, self.payloads[idx])
+        if not self.sent_ready and (
+            len(echo) >= node.echo_quorum or len(ready) >= node.ready_support
+        ):
+            self.sent_ready = True
+            ready.add(node.pid)
+            node.emit(READY, self.origin, self.seq, self.payloads[idx])
+        if self.accepted is None and len(ready) >= node.accept_quorum:
+            self.accepted = self.payloads[idx]
+            return self.accepted
+        return None
 
 
 def rb_handle(inst: RBInstance, msg, node):
@@ -157,7 +161,14 @@ def rb_handle(inst: RBInstance, msg, node):
 
 
 class RBNode:
-    """Per-process reliable-broadcast engine with FIFO and participation gating."""
+    """Per-process reliable-broadcast engine with FIFO and participation gating.
+
+    ``gate(origin, seq, payload)`` must be pure and monotone: once it opens
+    for a payload of an instance it stays open for that payload, because the
+    local state it reads only grows.  Each instance therefore consults the
+    gate until it opens for a payload and then lets later messages carrying
+    an equal payload through without asking again.
+    """
 
     def __init__(self, pid, params, *, gate=None, on_accept=None):
         self.pid = pid
@@ -169,6 +180,10 @@ class RBNode:
         self.gate = gate
         self.on_accept = on_accept
         self.instances = {}
+        # one shared (sender, kind) tuple per key of every RBInstance.seen; a
+        # fresh key per message left ~10 tuples per instance for the garbage
+        # collector to track
+        self.seen_keys = {}
         self.next_seq = [1] * params.n
         self.future = {}
         self.outbox = deque()
@@ -222,11 +237,14 @@ class RBNode:
         inst = self.instances.get(key)
         if inst is None:
             inst = self.instances[key] = RBInstance(origin, seq)
-        if self.gate is not None and not self.gate(origin, seq, payload):
-            if not inst.pending:
-                self._gated.append(key)
-            inst.pending.append((src, kind, payload))
-            return
+        if self.gate is not None and payload != inst.opened:
+            if not self.gate(origin, seq, payload):
+                if not inst.pending:
+                    self._gated.append(key)
+                    inst.pending = []
+                inst.pending.append((src, kind, payload))
+                return
+            inst.opened = payload
         accepted = inst.process(src, kind, payload, self)
         if accepted is not None:
             self.accept_queue.append((origin, seq, accepted))
@@ -239,11 +257,12 @@ class RBNode:
             if inst is None:
                 continue
             if self.next_seq[inst.origin] > inst.seq:
-                inst.pending = []  # already accepted; late reactions are moot
+                inst.pending = ()  # already accepted; late reactions are moot
                 continue
             remaining = []
             for src, kind, payload in inst.pending:
-                if self.gate(inst.origin, inst.seq, payload):
+                if payload == inst.opened or self.gate(inst.origin, inst.seq, payload):
+                    inst.opened = payload
                     accepted = inst.process(src, kind, payload, self)
                     progressed = True
                     if accepted is not None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -174,8 +175,9 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
         BrachaProcess(pid, params, seed, inputs[pid], coin=cfg.coin) for pid in range(params.n)
     ]
     world = WorldState(params, handlers, record_trace=cfg.trace)
+    world_ref = weakref.ref(world)  # the world holds the handlers: no cycle back
     for h in handlers:
-        h.clock = lambda: world.clock
+        h.clock = lambda: world_ref().clock
     strategy = make_strategy(cfg.adversary, seed, **cfg.adversary_args)
     max_events, max_iterations, _ = apply_stop_condition(cfg)
     starved = frozenset()
@@ -596,23 +598,26 @@ def verify_trace(records, f=None) -> list:
 
     if events:
         sends = {}
-        ok = True
-        first = -1
+        forged = -1  # ordinal of the first delivery of a message never sent
+        over_budget = -1  # ordinal of the first corruption beyond f
         corrupts = 0
         for ev in events:
             key = (ev["src"], ev["dst"], ev["digest"])
             if ev["kind"] == "send":
                 sends[key] = sends.get(key, 0) + 1
-            elif ev["kind"] == "deliver":
+            elif ev["kind"] == "deliver" and forged < 0:
                 if sends.get(key, 0) <= 0:
-                    ok = False
-                    first = ev["ordinal"]
-                    break
-                sends[key] -= 1
+                    forged = ev["ordinal"]
+                else:
+                    sends[key] -= 1
             elif ev["kind"] == "corrupt":
                 corrupts += 1
-        out.append(Verdict("no-forgery", ok, first_violation=first))
-        out.append(Verdict("fault-budget", True, detail=f"{corrupts} corruptions"))
+                if f is not None and corrupts > f and over_budget < 0:
+                    over_budget = ev["ordinal"]
+        out.append(Verdict("no-forgery", forged < 0, first_violation=forged))
+        if f is not None:
+            out.append(Verdict("fault-budget", over_budget < 0,
+                               detail=f"{corrupts} corruptions, f={f}", first_violation=over_budget))
 
     if accepts:
         payloads = {}

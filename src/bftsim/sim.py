@@ -41,14 +41,15 @@ class WorldState:
         self.params = params
         self.handlers = list(handlers)
         self.out_bufs = [[deque() for _ in range(n)] for _ in range(n)]  # [src][dst]
-        self.in_bufs = [[deque() for _ in range(n)] for _ in range(n)]
+        self.in_bufs = [[deque() for _ in range(n)] for _ in range(n)]  # [dst][src]
         self.corrupted = set()
         self.clock = 0
         self.record_trace = record_trace
         self.trace = []
         self.proc_depth = [0] * n  # causal chain depth per process
         self.chain_depth = 0
-        # incremental indexes so strategies can pick events in O(1)
+        # incremental indexes so strategies can pick events in O(1); kept up
+        # to date inline by enqueue and apply
         self._out_list = []  # (src, dst) with nonempty out buffer
         self._out_pos = {}
         self._in_count = [0] * n
@@ -59,46 +60,7 @@ class WorldState:
         self.started = [False] * n
         self._unstarted_good = n
 
-    # -- index maintenance -------------------------------------------------
-
-    def _out_add(self, key):
-        if key not in self._out_pos:
-            self._out_pos[key] = len(self._out_list)
-            self._out_list.append(key)
-
-    def _out_remove(self, key):
-        pos = self._out_pos.pop(key)
-        last = self._out_list.pop()
-        if last != key:
-            self._out_list[pos] = last
-            self._out_pos[last] = pos
-
-    def _in_add(self, dst):
-        if self._in_count[dst] == 0:
-            self._in_pos[dst] = len(self._in_list)
-            self._in_list.append(dst)
-            if dst not in self.corrupted:
-                self._good_pending += 1
-        self._in_count[dst] += 1
-
-    def _in_drain(self, dst):
-        if self._in_count[dst]:
-            self._in_count[dst] = 0
-            pos = self._in_pos.pop(dst)
-            last = self._in_list.pop()
-            if last != dst:
-                self._in_list[pos] = last
-                self._in_pos[last] = pos
-            if dst not in self.corrupted:
-                self._good_pending -= 1
-
     # -- queries used by strategies ----------------------------------------
-
-    def pending_out(self):
-        return self._out_list
-
-    def pending_in(self):
-        return self._in_list
 
     def good(self, i) -> bool:
         return i not in self.corrupted
@@ -109,8 +71,12 @@ class WorldState:
     # -- event application ---------------------------------------------------
 
     def enqueue(self, src, dst, msg, depth):
-        self.out_bufs[src][dst].append((msg, depth))
-        self._out_add((src, dst))
+        buf = self.out_bufs[src][dst]
+        if not buf:
+            key = (src, dst)
+            self._out_pos[key] = len(self._out_list)
+            self._out_list.append(key)
+        buf.append((msg, depth))
         if self.record_trace:
             self.trace.append((self.clock, "send", src, dst, msg_digest(msg)))
 
@@ -127,24 +93,43 @@ class WorldState:
                 raise InapplicableEvent(f"deliver({src},{dst}) on empty buffer")
             item = buf.popleft()
             if not buf:
-                self._out_remove((src, dst))
-            self.in_bufs[src][dst].append(item)
-            self._in_add(dst)
+                key = (src, dst)
+                out_list = self._out_list
+                pos = self._out_pos.pop(key)
+                last = out_list.pop()
+                if last != key:
+                    out_list[pos] = last
+                    self._out_pos[last] = pos
+            self.in_bufs[dst][src].append(item)
+            in_count = self._in_count
+            if not in_count[dst]:
+                self._in_pos[dst] = len(self._in_list)
+                self._in_list.append(dst)
+                if dst not in self.corrupted:
+                    self._good_pending += 1
+            in_count[dst] += 1
             if self.record_trace:
                 self.trace.append((self.clock, DELIVER, src, dst, msg_digest(item[0])))
         elif kind == COMPUTE:
             _, pid = event
             inbox = []
-            depth = self.proc_depth[pid]
-            for src in range(self.params.n):
-                buf = self.in_bufs[src][pid]
-                while buf:
-                    msg, d = buf.popleft()
-                    if d > depth:
-                        depth = d
-                    inbox.append((src, msg))
-            self._in_drain(pid)
-            self.proc_depth[pid] = depth
+            if self._in_count[pid]:
+                depth = self.proc_depth[pid]
+                for src, buf in enumerate(self.in_bufs[pid]):
+                    while buf:
+                        msg, d = buf.popleft()
+                        if d > depth:
+                            depth = d
+                        inbox.append((src, msg))
+                self._in_count[pid] = 0
+                pos = self._in_pos.pop(pid)
+                last = self._in_list.pop()
+                if last != pid:
+                    self._in_list[pos] = last
+                    self._in_pos[last] = pos
+                if pid not in self.corrupted:
+                    self._good_pending -= 1
+                self.proc_depth[pid] = depth
             first = not self.started[pid]
             self.started[pid] = True
             if first and pid not in self.corrupted:
@@ -164,8 +149,9 @@ class WorldState:
             out_depth = self.proc_depth[pid] + 1
             if out_depth > self.chain_depth:
                 self.chain_depth = out_depth
+            enqueue = self.enqueue
             for dst, msg in outgoing:
-                self.enqueue(pid, dst, msg, out_depth)
+                enqueue(pid, dst, msg, out_depth)
             if self.record_trace:
                 self.trace.append((self.clock, COMPUTE, pid, -1, ""))
         elif kind == CORRUPT:
@@ -230,10 +216,10 @@ class AdversaryView:
         return self._world.handlers[pid]
 
     def pending_out(self):
-        return self._world.pending_out()
+        return self._world._out_list
 
     def pending_in(self):
-        return self._world.pending_in()
+        return self._world._in_list
 
     def out_queue(self, src, dst):
         return tuple(m for m, _ in self._world.out_bufs[src][dst])
@@ -263,6 +249,7 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000, sto
     are persistent, so a short overshoot is harmless and saves the scan)."""
     strategy.setup(world)
     view = AdversaryView(world)
+    next_event, apply = strategy.next_event, world.apply
     countdown = 1
     while True:
         countdown -= 1
@@ -272,9 +259,9 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000, sto
             countdown = stop_stride
         if world.clock >= max_events:
             return RunResult(world.clock, "max-events", world.chain_depth, world.trace)
-        event = strategy.next_event(view)
+        event = next_event(view)
         if event is None:
             if stop is not None and stop(world):
                 return RunResult(world.clock, "stop", world.chain_depth, world.trace)
             return RunResult(world.clock, "quiescent", world.chain_depth, world.trace)
-        world.apply(event, strategy)
+        apply(event, strategy)

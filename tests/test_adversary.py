@@ -8,6 +8,19 @@ from bftsim.harness import make_config, run_bracha_once
 from bftsim.params import ProtocolParams, sgn
 
 
+def test_draw_index_matches_random_choice():
+    import random
+
+    from bftsim.adversary import draw_index
+
+    ours, ref = random.Random(2024), random.Random(2024)
+    for size in range(1, 301):
+        seq = range(size)
+        for _ in range(50):
+            assert draw_index(ours.getrandbits, size) == ref.choice(seq)
+    assert ours.getstate() == ref.getstate()
+
+
 def test_registry_contents():
     assert {"honest-random", "crash-stop", "starve-subset", "counteract",
             "colluding", "fuzz", "equivocator"} <= set(STRATEGIES)

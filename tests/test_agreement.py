@@ -283,6 +283,15 @@ def test_check_agreement_lag():
     assert not v.lag_ok
 
 
+def test_check_agreement_lag_with_undecided_process():
+    # the lag is checked across the good processes that decided, even when
+    # another good process has not decided yet
+    decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 4, 1)}
+    v = check_agreement({0: 1, 1: -1, 2: 1}, decisions, [0, 1, 2], finished=False)
+    assert not v.lag_ok and not v.all_decided
+    assert "decision lag 3 > 1" in v.violations
+
+
 def test_check_agreement_nontermination_not_safety():
     v = check_agreement({0: 1, 1: -1}, {}, [0, 1], finished=False)
     assert v.agreement_ok and v.validity_ok and v.lag_ok

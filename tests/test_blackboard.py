@@ -187,3 +187,39 @@ def test_write_suppressed_once_complete():
     for s in range(4):
         node.on_accept(s, ("ack", 1, 0, 0))  # acks for our row-0 write arrive late
     assert [p for p in sent if p[0] == "write"] == []  # line-3 guard: complete
+
+
+def _record_open_gates(monkeypatch):
+    from bftsim.blackboard import BlackboardNode
+
+    opened = set()
+    real = BlackboardNode.gate
+
+    def gate(node, origin, payload):
+        ok = real(node, origin, payload)
+        if ok:
+            opened.add((node, origin, payload))
+        return ok
+
+    monkeypatch.setattr(BlackboardNode, "gate", gate)
+    return opened, real
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(mode="blackboard", n=5, f=1, m=4, T=16, boards=3, adversary="fuzz", seeds=[3]),
+    # seed 1 needs the blackboard coin: it decides in iteration 2
+    dict(mode="bracha", n=9, f=2, m=4, T=2, coin="blackboard", adversary="fuzz",
+         inputs="mixed", seeds=[1], max_iterations=6),
+])
+def test_gate_is_monotone(monkeypatch, cfg):
+    # reliable broadcast consults the gate once per payload and instance;
+    # that is exact only if a gate that opened stays open
+    from bftsim.harness import make_config, run_experiment
+
+    opened, real = _record_open_gates(monkeypatch)
+    rec = run_experiment(make_config(**cfg))[0]
+    assert rec["violations"] == []
+    tags = {payload[0] for _node, _origin, payload in opened}
+    assert {"write", "ack", "last"} <= tags
+    still_open = [real(node, origin, payload) for node, origin, payload in opened]
+    assert all(still_open)

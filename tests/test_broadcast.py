@@ -154,6 +154,29 @@ def test_participation_gate_delays_reactions():
     assert any(out for _pid, out in wires)  # echoes flow once the gate opens
 
 
+def test_open_gate_consulted_once_per_payload():
+    params = ProtocolParams(n=4, f=1, m=4, T=16)
+    calls = []
+    nodes = [
+        RBNode(i, params, gate=lambda o, s, p, i=i: calls.append((i, o, s, p)) or True)
+        for i in range(4)
+    ]
+    nodes[1].broadcast(("w", 1))
+    _full_rb_round(nodes, [[(1, m) for m in nodes[1].take_wire()]])
+    assert all(node.accepted_payload(1, 1) == ("w", 1) for node in nodes)
+    # every node saw an init, echoes and readies, but asked the gate once
+    assert sorted(calls) == [(i, 1, 1, ("w", 1)) for i in range(4)]
+
+
+def test_gate_still_consulted_for_other_payloads():
+    node = _node(pid=0, gate=lambda o, s, p: p == "a")
+    node.handle(2, ECHO, 1, 1, "a")
+    node.handle(3, ECHO, 1, 1, "b")
+    inst = node.instances[(1, 1)]
+    assert inst.opened == "a"
+    assert inst.pending == [(3, ECHO, "b")]  # the open "a" gate does not admit "b"
+
+
 def test_criterion1_style_fuzz_small():
     cfg = ExperimentConfig(mode="broadcast-fuzz", n=4, f=1, m=4, T=16, adversary="equivocator", seeds=[0])
     for seed in range(30):

@@ -112,6 +112,19 @@ def test_verify_trace_flags_injected_fault():
     assert not agree.ok
 
 
+def test_verify_trace_fault_budget():
+    records = [
+        {"rec": "event", "ordinal": k, "kind": "corrupt", "src": k, "dst": -1, "digest": ""}
+        for k in (3, 5, 8)
+    ]
+    budget = next(v for v in verify_trace(records, f=1) if v.name == "fault-budget")
+    assert not budget.ok and budget.first_violation == 5
+    budget = next(v for v in verify_trace(records, f=3) if v.name == "fault-budget")
+    assert budget.ok and budget.first_violation == -1
+    # with f unknown the budget cannot be judged, so the verdict is omitted
+    assert "fault-budget" not in {v.name for v in verify_trace(records)}
+
+
 def test_verify_trace_weight_loss_violation_detection():
     # hand-crafted decisions disagreeing -> bracha-agreement fails
     records = [
@@ -194,6 +207,30 @@ def test_golden_trace_digest():
     lines = "\n".join(json.dumps(r, separators=(",", ":")) for r in rec["trace"])
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "e9ccb4ca5625e64d378c49b76a2c2e8a43958f5dda3eb936ca99a92a2ca5aaa2"
+
+
+def _trace_digest(cfg):
+    import hashlib
+
+    rec = run_experiment(cfg)[0]
+    lines = "\n".join(json.dumps(r, separators=(",", ":")) for r in rec["trace"])
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_golden_trace_digest_fuzz_blackboard():
+    # determinism anchor for the fuzz scheduler's rejection sampling and its
+    # rotating starvation, over gated broadcast and board finalisation
+    cfg = make_config(mode="blackboard", n=8, f=2, m=8, T=16, boards=2, adversary="fuzz",
+                      seeds=[7], trace=True, max_events=3_000_000)
+    assert _trace_digest(cfg) == "df15f5b759c05fc9ad70d407bddab4034df46a70e1dfd3416990b12ca36bda22"
+
+
+def test_golden_trace_digest_crash_stop_bracha():
+    # determinism anchor for scheduled corruptions (seed 7 crashes three
+    # processes) under Bracha with the local coin
+    cfg = make_config(mode="bracha", n=13, f=3, coin="local", adversary="crash-stop",
+                      inputs="mixed", seeds=[7], trace=True)
+    assert _trace_digest(cfg) == "3a391b64cec1736d246791b8fb1ec743d8bdb20c853e7f7ac3040884936a4ecb"
 
 
 def test_stop_condition_forms():
