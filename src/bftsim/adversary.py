@@ -7,6 +7,7 @@ with the same seed and configuration reproduces the schedule bit for bit.
 from __future__ import annotations
 
 import random
+import weakref
 
 from .broadcast import INIT, ECHO, READY
 from .params import sgn
@@ -249,7 +250,10 @@ class _ProtocolCompliantCorruption(Strategy):
     def on_corrupt(self, world, pid):
         handler = world.handlers[pid]
         if hasattr(handler, "coin_source"):
-            handler.coin_source = lambda t, r, pid=pid: self.bad_value(world, pid, t, r)
+            # weak, as agreement._weak: the world holds the handler, and a
+            # strong closure would make every finished run cyclic garbage
+            strategy, world_ref = weakref.ref(self), weakref.ref(world)
+            handler.coin_source = lambda t, r: strategy().bad_value(world_ref(), pid, t, r)
 
     def corrupted_compute(self, world, pid, inbox):
         # protocol-compliant byzantine: the handler keeps running, values rigged

@@ -16,6 +16,7 @@ and in the frozen views used for end-of-epoch statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +41,44 @@ def achievable_column_sum(target: float, m: int, sigma: int):
         raw = max(-m, min(m, raw))
     last = 1 if raw >= 0 else -1
     return raw, last
+
+
+_FLIP_BLOCK = 1024  # flips drawn per refill: about 8 kB of list per process
+
+
+class FlipStream:
+    """One process's fair +-1 flips, drawn from its generator a block at a
+    time and read back as column sums.
+
+    ``take(length)`` returns ``(raw, last)`` for the next ``length`` flips:
+    their sum and the last one; ``length`` must be positive.  This equals
+    ``flips = rng.integers(0, 2, size=length) * 2 - 1`` followed by
+    ``(flips.sum(), flips[-1])``, because on PCG64 every
+    ``integers(0, 2, ...)`` value takes exactly one buffered 32-bit draw, so
+    any split of the draws into calls yields the same sequence
+    (``tests/test_game.py::test_flip_stream_matches_per_call_draws`` pins
+    this).  The block drawn past the last flip a run takes is never seen:
+    the generator must belong to the stream alone, which ``run_game``
+    guarantees by keeping the process generators private.
+    """
+
+    __slots__ = ("_rng", "_cum", "_pos")
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._cum = [0]  # prefix sums of the drawn flips; only differences are read
+        self._pos = 0  # flips of the block already taken
+
+    def take(self, length):
+        start = self._pos
+        end = start + length
+        cum = self._cum
+        if end >= len(cum):  # refill: the untaken flips, then a fresh block
+            fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, length)) * 2 - 1
+            cum = self._cum = cum[start:-1] + list(accumulate(fresh.tolist(), initial=cum[-1]))
+            start, end = 0, length
+        self._pos = end
+        return cum[end] - cum[start], cum[end] - cum[end - 1]
 
 
 class GameOpponent:
@@ -189,7 +228,8 @@ def run_game(cfg: GameConfig) -> GameReport:
         raise KeyError(f"unknown game adversary {cfg.adversary!r}; have {sorted(GAME_OPPONENTS)}")
     opp = opp_cls(**cfg.adversary_args)
 
-    proc_rng = [np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, i))) for i in range(p.n)]
+    streams = [FlipStream(np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, i))))
+               for i in range(p.n)]
     adv_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xAD)))
     view_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x51DE)))
 
@@ -203,7 +243,7 @@ def run_game(cfg: GameConfig) -> GameReport:
     reports = []
     ended = None
     for k in range(1, cfg.epochs + 1):
-        rep = _play_epoch(cfg, p, opp, k, weights, bad, good, proc_rng, adv_rng, view_rng)
+        rep = _play_epoch(cfg, p, opp, k, weights, bad, good, streams, adv_rng, view_rng)
         reports.append(rep)
         if rep.natural_end_at is not None and cfg.stop_on_natural_end:
             ended = (k, rep.natural_end_at)
@@ -219,9 +259,11 @@ def run_game(cfg: GameConfig) -> GameReport:
     return GameReport(cfg.seed, bad, reports, ended)
 
 
-def _play_epoch(cfg, p, opp, k, weights_in, bad, good, proc_rng, adv_rng, view_rng):
-    n, m, T = p.n, p.m, p.T
+def _play_epoch(cfg, p, opp, k, weights_in, bad, good, streams, adv_rng, view_rng):
+    n, m, T, f, x_max = p.n, p.m, p.T, p.f, p.x_max
     w = np.asarray(weights_in, dtype=float)
+    good_ix = np.array(good)
+    bad_order = sorted(bad)
     dev = np.zeros(n)
     corr = np.zeros((n, n))
     sg_series = []
@@ -230,52 +272,43 @@ def _play_epoch(cfg, p, opp, k, weights_in, bad, good, proc_rng, adv_rng, view_r
     natural_end_at = None
     unanimous = 0
     iters = 0
-    last_raw = np.zeros(n, dtype=np.int64)
-    last_lam = np.zeros(n, dtype=np.int64)
-    hidden_pool = []
 
     for t in range(1, T + 1):
         iters = t
         sigma = opp.direction(t, adv_rng)
-        lengths = {i: m for i in range(n)}
-        lengths.update(opp.plan_lengths(t, w, good, sorted(bad), m, adv_rng))
-        raw = np.zeros(n, dtype=np.int64)
-        lam = np.zeros(n, dtype=np.int64)
+        lengths = opp.plan_lengths(t, w, good, bad_order, m, adv_rng)
+        raw = [0] * n
+        lam = [0] * n
         for i in good:
             length = lengths.get(i, m)
             if length > 0:
-                flips = proc_rng[i].integers(0, 2, size=length) * 2 - 1
-                raw[i] = flips.sum()
-                lam[i] = flips[-1]
-        x = np.array([clamp_coin_sum(float(v), p.x_max) for v in raw])
-        sg = float((w * x)[good].sum())
+                raw[i], lam[i] = streams[i].take(length)
+        x = np.array(raw).clip(-x_max, x_max)
+        sg = float((w * x)[good_ix].sum())
         # hideable frontier: good partial columns (the scheduler leaves their
         # last write unforced); at most f columns total
-        hideable = [i for i in good if 0 < lengths.get(i, m) < m][: p.f]
+        hideable = [i for i in good if 0 < lengths.get(i, m) < m][:f]
         deltas = {}
         for i in hideable:
-            x_alt = clamp_coin_sum(float(raw[i] - lam[i]), p.x_max)
+            x_alt = clamp_coin_sum(float(raw[i] - lam[i]), x_max)
             deltas[i] = w[i] * (x_alt - x[i])
         gain = sum(d for d in deltas.values() if sigma * d > 0) * sigma
 
-        bad_cols = opp.bad_columns(t, sigma, w, sg, gain, bad, m, p.x_max, adv_rng)
+        bad_cols = opp.bad_columns(t, sigma, w, sg, gain, bad, m, x_max, adv_rng)
         for i, (braw, blast) in bad_cols.items():
             raw[i] = braw
             lam[i] = blast
-            x[i] = clamp_coin_sum(float(braw), p.x_max)
-        sb = float(sum(w[i] * x[i] for i in bad))
-        total = float((w * x).sum())
-
-        dev += (w * x) ** 2
+            x[i] = clamp_coin_sum(float(braw), x_max)
         wx = w * x
+        sb = float(sum(wx[i] for i in bad))
+        total = float(wx.sum())
+
+        dev += wx**2
         corr += np.outer(wx, wx)
         if cfg.record_series:
             sg_series.append(sg)
             sb_series.append(sb)
             sigma_series.append(sigma)
-        last_raw = raw.copy()
-        last_lam = lam.copy()
-        hidden_pool = hideable
 
         smax = total + sum(d for d in deltas.values() if d > 0)
         smin = total + sum(d for d in deltas.values() if d < 0)
@@ -291,31 +324,33 @@ def _play_epoch(cfg, p, opp, k, weights_in, bad, good, proc_rng, adv_rng, view_r
 
     # end-of-epoch frozen views: each viewer may miss the final write of the
     # unforced columns; corrupted viewers choose self-servingly
-    final_wx = w * np.array([clamp_coin_sum(float(v), p.x_max) for v in last_raw])
+    # (raw, lam and hideable are the last iteration's: T >= 1)
+    final_wx = w * np.array(raw).clip(-x_max, x_max)
     locals_ = {}
     for pid in range(n):
         if pid in bad and opp.name == "crash-stop":
             continue  # crashed processes never disclose a view
         if pid in bad:
             candidates = [frozenset()]
-            if last_lam[pid]:
+            if lam[pid]:
                 candidates.append(frozenset({pid}))
         else:
-            chosen = [i for i in hidden_pool if view_rng.integers(0, 2)]
-            candidates = [frozenset(chosen[: p.f])]
+            chosen = [i for i in hideable if view_rng.integers(0, 2)]
+            candidates = [frozenset(chosen[:f])]
         best = None
         for hidden in candidates:
-            dv, cv = _adjusted_stats(dev, corr, final_wx, last_raw, last_lam, w, hidden, p)
+            dv, cv = _adjusted_stats(dev, corr, final_wx, raw, lam, w, hidden, p)
             new_w, _, _ = epoch_advance(list(w), dv, cv, p)
             if best is None or new_w[pid] > best[0][pid]:
                 best = (new_w, hidden)
         locals_[pid] = best[0]
 
     cons = list(w)
+    w_min = p.w_min
     for i in range(n):
         if i in locals_:
             wi = locals_[i][i]
-            cons[i] = wi if wi > p.w_min else 0.0
+            cons[i] = wi if wi > w_min else 0.0
 
     lhs, rhs, ok = _invariant_check(cons, bad, p)
     return EpochReport(

@@ -261,22 +261,24 @@ def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
     n = params.n
     if params.f == 0:
         return CapacitatedGraph(n, list(weights), {})
-    coeff = 16.0 / (params.eps * params.f * params.alpha_T)
+    alpha_T, beta_T = params.alpha_T, params.beta_T
+    coeff = 16.0 / (params.eps * params.f * alpha_T)
     c_e = {}
     for i in range(n):
-        excess = max(0.0, dev[i] - weights[i] ** 2 * params.alpha_T)
+        excess = max(0.0, dev[i] - weights[i] ** 2 * alpha_T)
         if excess > 0:
             c_e[(i, i)] = min(coeff * excess, weights[i])
+    if isinstance(corr, dict):
+        rows = [[corr.get((i, j), 0.0) for j in range(n)] for i in range(n)]
+    else:
+        rows = corr.tolist() if hasattr(corr, "tolist") else corr  # numpy: read once
     for i in range(n):
+        row, wi = rows[i], weights[i]
         for j in range(i + 1, n):
-            if isinstance(corr, dict):
-                val = corr.get((i, j), 0.0)
-            else:
-                val = corr[i][j]
-            excess = max(0.0, val - weights[i] * weights[j] * params.beta_T)
+            wj = weights[j]
+            excess = max(0.0, row[j] - wi * wj * beta_T)
             if excess > 0:
-                cap = coeff * 2.0 * excess
-                cap = min(cap, weights[i], weights[j])
+                cap = min(coeff * 2.0 * excess, wi, wj)
                 if cap > 0:
                     c_e[(i, j)] = cap
     return CapacitatedGraph(n, list(weights), c_e)

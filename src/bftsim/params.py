@@ -60,6 +60,16 @@ class ProtocolParams:
             object.__setattr__(self, "fairness_window", 10 * self.n**2)
         if self.m < 1 or self.T < 1:
             raise ConfigInvalid("m and T must be >= 1")
+        # derived quantities, computed once: the game reads them every
+        # iteration.  They live outside the fields, so equality, hash and
+        # repr are the fields' alone, and replace() recomputes them.
+        ln_n = math.log(self.n)
+        spread = math.sqrt(self.T * (self.c * ln_n) ** 3)
+        object.__setattr__(self, "_ln_n", ln_n)
+        object.__setattr__(self, "_alpha_T", self.m * (self.T + spread))
+        object.__setattr__(self, "_beta_T", self.m * spread)
+        object.__setattr__(self, "_x_max", math.sqrt(self.c * self.m * ln_n))
+        object.__setattr__(self, "_w_min", math.sqrt(self.n * ln_n) / self.T)
 
     def require_quarter_resilience(self):
         """Real-game runs need f < n/4; blackboard-only suites may use f < n/3."""
@@ -68,27 +78,27 @@ class ProtocolParams:
 
     @property
     def ln_n(self) -> float:
-        return math.log(self.n)
+        return self._ln_n
 
     @property
     def alpha_T(self) -> float:
         """Per-player deviation threshold: m(T + sqrt(T (c ln n)^3))."""
-        return self.m * (self.T + math.sqrt(self.T * (self.c * self.ln_n) ** 3))
+        return self._alpha_T
 
     @property
     def beta_T(self) -> float:
         """Pairwise correlation threshold: m sqrt(T (c ln n)^3)."""
-        return self.m * math.sqrt(self.T * (self.c * self.ln_n) ** 3)
+        return self._beta_T
 
     @property
     def x_max(self) -> float:
         """Deterministic clamp on column sums: sqrt(c m ln n)."""
-        return math.sqrt(self.c * self.m * self.ln_n)
+        return self._x_max
 
     @property
     def w_min(self) -> float:
         """Weight floor: entries at or below this round down to zero."""
-        return math.sqrt(self.n * self.ln_n) / self.T
+        return self._w_min
 
     def with_overrides(self, **kw) -> "ProtocolParams":
         return replace(self, **kw)

@@ -92,3 +92,17 @@ def test_direction_commitment_independent_of_other_randomness():
         sigmas2.append(opp.direction(t, rng2))
         noise.integers(0, 2, size=int(noise.integers(1, 50)))
     assert sigmas1 == sigmas2
+
+
+@pytest.mark.parametrize("adversary", ["counteract", "colluding"])
+def test_corrupting_run_is_freed_without_the_collector(adversary):
+    # the coin source handed to corrupted processes holds the strategy and
+    # the world weakly, so a finished run leaves no cyclic garbage
+    import gc
+
+    cfg = make_config(mode="bracha", n=13, f=3, coin="local", adversary=adversary,
+                      seeds=[7], inputs="mixed")
+    gc.collect()
+    rec = run_bracha_once(cfg, 7)
+    assert len(rec["corrupted"]) == 3
+    assert gc.collect() == 0

@@ -209,3 +209,81 @@ def test_restart_rule_resets_weights():
     bad = sorted(rep.bad)
     assert rep.epochs[0].weights_out[bad[0]] == 0.0  # docked in epoch 1
     assert rep.epochs[2].weights_in == [1.0] * 9  # restart after the endgame epoch
+
+
+# -- block-drawn flips -----------------------------------------------------------
+
+
+def test_flip_stream_matches_per_call_draws():
+    # the stream's block draws split the generator's output differently from
+    # one integers() call per column; the values must not depend on the split
+    from bftsim.game import _FLIP_BLOCK, FlipStream
+
+    pick = np.random.default_rng(2024)
+    lengths = [1, 3, 20, 7, 1] + [int(v) for v in pick.integers(0, 21, size=400)]
+    lengths += [_FLIP_BLOCK + 1, 1, 2 * _FLIP_BLOCK + 3, 5]  # longer than a block
+    assert sum(lengths) > 4 * _FLIP_BLOCK and 0 in lengths
+    stream = FlipStream(np.random.default_rng(np.random.SeedSequence((11, 7, 3))))
+    twin = np.random.default_rng(np.random.SeedSequence((11, 7, 3)))
+    for length in lengths:
+        flips = twin.integers(0, 2, size=length) * 2 - 1
+        if length == 0:
+            continue  # an empty draw takes nothing; the game skips the column
+        assert stream.take(length) == (int(flips.sum()), int(flips[-1]))
+
+
+# -- golden digests --------------------------------------------------------------
+
+
+def _game_digest(report) -> str:
+    """sha256 of a whole GameReport; every float enters by its exact bits, so
+    the digest is blind to float vs numpy scalar types but not to any value."""
+    import hashlib
+
+    def nums(vals):
+        return [float(v).hex() for v in vals]
+
+    parts = [sorted(report.bad), report.ended_at]
+    for ep in report.epochs:
+        parts.append([
+            ep.epoch, sorted(ep.bad), nums(ep.weights_in), nums(ep.weights_out),
+            ep.iters_played, ep.natural_end_at, ep.unanimous_iters,
+            nums(ep.sg_series), nums(ep.sb_series), [int(s) for s in ep.sigma_series],
+            nums([ep.inv_lhs, ep.inv_rhs]), bool(ep.inv_ok),
+            ep.dev.dtype.str, ep.dev.tobytes().hex(), ep.corr.dtype.str, ep.corr.tobytes().hex(),
+        ])
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# (adversary, params, epochs, seed, stop_on_natural_end, zero_bad_weights),
+# seeds no benchmark operation uses; the colluding n=9 game draws 6,912 flips
+# per good process, and the counteract games leave columns of every length
+GOLDEN_GAMES = {
+    "honest": ("honest-random", dict(n=9, f=2, m=8, T=64, c=4), 2, 90001, True, False),
+    "crash-odd-m": ("crash-stop", dict(n=13, f=3, m=7, T=48, c=4), 2, 90002, True, False),
+    "counteract-odd-m": ("counteract", dict(n=9, f=2, m=7, T=96, c=4), 3, 90003, False, False),
+    "counteract-stop": ("counteract", dict(n=9, f=2, m=8, T=128, c=4), 3, 90004, True, False),
+    "counteract-zero-bad": ("counteract", dict(n=13, f=3, m=9, T=64, c=4), 2, 90005, False, True),
+    "colluding-m9": ("colluding", dict(n=9, f=2, m=9, T=256, c=1), 3, 90006, True, False),
+    "colluding-n20": ("colluding", dict(n=20, f=4, m=8, T=64, c=1), 2, 90007, False, False),
+}
+
+GOLDEN_DIGESTS = {  # computed before the block-drawn flip stream
+    "colluding-m9": "221ae519adfbbb163e61537baf676c73de4e35a405498d7a19d8a074006b74a3",
+    "colluding-n20": "72d9c1a9343d25a3741fb17e3afffff3ff5e3373897bb6e1de78b7c5ef946d5b",
+    "counteract-odd-m": "fd6ac6ed15f994002b40f2f2068a80bb9cf2b04c6bfda7d137b9d94bd7ec404f",
+    "counteract-stop": "c5ed06ceb143213d06ace0df58a8c4b7594ab9339c6822822727d7b38a6d6885",
+    "counteract-zero-bad": "3821c3caf829c8cb78bb8a26d206f6a56bd97a71bdf550a0f35e7b48a967504f",
+    "crash-odd-m": "9e5b8472939772927c47ddaea9fd99e8f9e8e03087210934efe7f762f070e0a4",
+    "honest": "d4cc37dda22df6570c3bc23b97630eb101b6201d019f29bda993c0574920933f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GAMES))
+def test_golden_game_digest(name):
+    # frozen determinism anchor: the whole report of a seeded game, bit for bit
+    adversary, params, epochs, seed, stop, zero_bad = GOLDEN_GAMES[name]
+    cfg = GameConfig(params=ProtocolParams(eps=0.5, **params), adversary=adversary,
+                     epochs=epochs, seed=seed, stop_on_natural_end=stop,
+                     zero_bad_weights=zero_bad)
+    assert _game_digest(run_game(cfg)) == GOLDEN_DIGESTS[name]

@@ -62,3 +62,21 @@ def test_clamp_maps_to_nearest_endpoint():
     assert clamp_coin_sum(3.0, 8.0) == 3.0
     assert clamp_coin_sum(13.0, 8.0) == 8.0
     assert clamp_coin_sum(-9.0, 8.0) == -8.0
+
+
+def test_derived_values_follow_overrides_and_stay_out_of_identity():
+    p = ProtocolParams(n=9, f=2, eps=0.5, m=8, T=256, c=1)
+    q = p.with_overrides(T=1024)
+    # recomputed, with the formula the docstring states
+    assert q.alpha_T == q.m * (q.T + math.sqrt(q.T * (q.c * math.log(q.n)) ** 3))
+    assert q.alpha_T > p.alpha_T and q.w_min < p.w_min
+    assert q.with_overrides(T=256).alpha_T == p.alpha_T
+    # equality, hash and repr see the fields alone
+    twin = ProtocolParams(n=9, f=2, eps=0.5, m=8, T=256, c=1)
+    assert twin == p and hash(twin) == hash(p) and twin != q
+    assert repr(p) == (
+        "ProtocolParams(n=9, f=2, eps=0.5, m=8, T=256, c=1, k_max=5, fairness_window=810)"
+    )
+    # the tracer wraps the derived values as properties
+    for name in ("ln_n", "x_max", "alpha_T", "beta_T", "w_min"):
+        assert isinstance(ProtocolParams.__dict__[name], property)
