@@ -150,7 +150,7 @@ class WeightBook:
             xs.append(row)
         st = compute_stats(xs, prev, p, epoch=k)
         graph = build_excess_graph(prev, st.dev, st.corr, p)
-        matching, _ = rising_tide(graph, exact=True)
+        matching, _ = rising_tide(graph)
         out = weight_update_local(prev, matching)
         self._viewer_cache[key] = out
         return out
@@ -174,7 +174,7 @@ def epoch_advance(weights, dev, corr, params: ProtocolParams):
     """One weight update: excess graph -> rising tide -> local deduction.
     Returns (new_local_weights, matching, dependency_graph)."""
     graph = build_excess_graph(weights, dev, corr, params)
-    matching, deps = rising_tide(graph, exact=True)
+    matching, deps = rising_tide(graph)
     return weight_update_local(weights, matching), matching, deps
 
 

@@ -14,13 +14,11 @@ import json
 import sys
 
 from .harness import (
-    ExperimentConfig,
     emit_metrics,
     header_record,
     load_config_file,
     make_config,
     run_experiment,
-    safety_ok,
     verify_trace,
 )
 
@@ -94,10 +92,10 @@ def _collect(args) -> dict:
     return kwargs
 
 
-def _finish(cfg: ExperimentConfig, records) -> int:
-    if cfg.out:
-        emit_metrics(records, cfg.out, header=header_record(cfg))
-        print(f"wrote {len(records)} records to {cfg.out}")
+def _finish(records, out, header) -> int:
+    if out:
+        emit_metrics(records, out, header=header)
+        print(f"wrote {len(records)} records to {out}")
     else:
         for rec in records:
             print(json.dumps(rec, separators=(",", ":")))
@@ -110,37 +108,30 @@ def _finish(cfg: ExperimentConfig, records) -> int:
 
 def cmd_run(args) -> int:
     cfg = make_config(**_collect(args))
-    return _finish(cfg, run_experiment(cfg))
+    return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
 def cmd_sweep(args) -> int:
     base = _collect(args)
+    out = base.pop("out", None)
     grid = {}
     for spec in args.grid or []:
         key, _, values = spec.partition("=")
         grid[key] = values.split(",")
     keys = sorted(grid)
+    header = None
     all_records = []
-    ok = True
     for combo in itertools.product(*(grid[k] for k in keys)) if keys else [()]:
-        kwargs = dict(base)
-        kwargs.update(dict(zip(keys, combo)))
-        out_path = kwargs.pop("out", None)
-        cfg = make_config(**kwargs)
-        records = run_experiment(cfg)
-        for rec in records:
-            tagged = {k: v for k, v in zip(keys, combo)}
+        cfg = make_config(**{**base, **dict(zip(keys, combo))})
+        if header is None:
+            # the base config, with the grid in place of the keys it varies
+            header = {k: v for k, v in header_record(cfg).items() if k not in grid}
+            header["grid"] = {k: grid[k] for k in keys}
+        for rec in run_experiment(cfg):
+            tagged = dict(zip(keys, combo))
             tagged.update(rec)
             all_records.append(tagged)
-        ok = ok and safety_ok(records)
-        base["out"] = out_path if out_path else None
-    if base.get("out"):
-        emit_metrics(all_records, base["out"])
-        print(f"wrote {len(all_records)} records to {base['out']}")
-    else:
-        for rec in all_records:
-            print(json.dumps(rec, separators=(",", ":")))
-    return 0 if ok else 1
+    return _finish(all_records, out, header)
 
 
 def cmd_verify(args) -> int:
@@ -167,7 +158,7 @@ def cmd_simplified(args) -> int:
     kwargs.setdefault("adversary", "simple-counteract")
     kwargs.setdefault("f", 0)
     cfg = make_config(**kwargs)
-    return _finish(cfg, run_experiment(cfg))
+    return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,18 @@ f columns partial (at least n-f must fill); corrupted writers choose their
 column values after seeing all good flips; and each viewer's column sums may
 miss the final write of the (at most f) unforced columns, both at coin time
 and in the frozen views used for end-of-epoch statistics.
+
+An epoch is played one of two ways, chosen by the opponent's class.  The
+counteract opponent reads the good sum of every iteration, so its epochs run
+iteration by iteration; the others never read the good flips, so their
+epochs run whole, as array operations, with the same values bit for bit.
+Both end in the same frozen views and weight update.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +87,28 @@ class FlipStream:
         self._pos = end
         return cum[end] - cum[start], cum[end] - cum[end - 1]
 
+    def take_block(self, rows, length):
+        """``rows`` calls of ``take(length)`` in one: the column sums and the
+        last flips, as two arrays of ``rows`` values.  A refill draws what the
+        block lacks, or a whole block if that is more."""
+        need = rows * length
+        flips = np.diff(self._cum[self._pos:])  # the untaken flips
+        if need > len(flips):
+            fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, need - len(flips))) * 2 - 1
+            flips = np.concatenate((flips, fresh))
+        cols = flips[:need].reshape(rows, length)
+        self._cum = list(accumulate(flips[need:].tolist(), initial=0))
+        self._pos = 0
+        return cols.sum(axis=1), cols[:, -1]
+
 
 class GameOpponent:
-    """Game-level adversary: no corruption, fair play."""
+    """Game-level adversary: no corruption, fair play.
+
+    An opponent that is not ``forcing`` never reads the good flips and never
+    leaves a good column partial, so no iteration depends on another and
+    ``run_game`` plays each of its epochs whole, from ``epoch_moves``.
+    """
 
     name = "honest-random"
     forcing = False
@@ -93,16 +119,11 @@ class GameOpponent:
     def pick_bad(self, n, f, rng):
         return frozenset()
 
-    def direction(self, t, rng) -> int:
-        return int(rng.integers(0, 2)) * 2 - 1
-
-    def plan_lengths(self, t, weights, good, bad, m, rng):
-        """Column lengths for this iteration: {pid: length}; omitted = full."""
-        return {}
-
-    def bad_columns(self, t, sigma, weights, good_weighted_sum, hide_gain, bad, m, x_max, rng):
-        """Raw sums and last flips for corrupted columns: {pid: (raw, last)}."""
-        return {}
+    def epoch_moves(self, T, m, rng):
+        """sigma(t) for t = 1..T, and the column every corrupted process
+        writes in each iteration as (raw sums, last flips) arrays, or None
+        when they write nothing."""
+        return rng.integers(0, 2, size=T) * 2 - 1, None
 
 
 class HonestGame(GameOpponent):
@@ -113,22 +134,16 @@ class CrashGame(GameOpponent):
     """f processes are corrupted at the start and never write anything."""
 
     name = "crash-stop"
-    forcing = False
 
     def pick_bad(self, n, f, rng):
         return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
-
-    def bad_columns(self, t, sigma, weights, good_weighted_sum, hide_gain, bad, m, x_max, rng):
-        return {i: (0, 0) for i in bad}
-
-    def plan_lengths(self, t, weights, good, bad, m, rng):
-        return {i: 0 for i in bad}
 
 
 class CounteractGame(GameOpponent):
     """Corrupts f immediately; starves the f heaviest good columns (leaving a
     few stray flips to hide later) and offsets the observed good sum so some
-    good view still shows sigma."""
+    good view still shows sigma.  It reads the good sum of each iteration, so
+    it is played iteration by iteration."""
 
     name = "counteract"
     forcing = True
@@ -136,11 +151,16 @@ class CounteractGame(GameOpponent):
     def pick_bad(self, n, f, rng):
         return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
 
+    def direction(self, t, rng) -> int:
+        return int(rng.integers(0, 2)) * 2 - 1
+
     def plan_lengths(self, t, weights, good, bad, m, rng):
+        """Column lengths for this iteration: {pid: length}; omitted = full."""
         heaviest = sorted(good, key=lambda i: (-weights[i], i))[: len(bad)]
         return {i: int(rng.integers(1, max(2, m))) for i in heaviest}
 
     def bad_columns(self, t, sigma, weights, good_weighted_sum, hide_gain, bad, m, x_max, rng):
+        """Raw sums and last flips for corrupted columns: {pid: (raw, last)}."""
         order = sorted(bad)
         targets = counteract_bad_values(
             sigma, good_weighted_sum, [weights[i] for i in order], x_max, m, slack=hide_gain
@@ -152,16 +172,17 @@ class ColludingGame(GameOpponent):
     """Corrupted players copy one leader's honest-looking flips exactly."""
 
     name = "colluding"
-    forcing = False
 
     def pick_bad(self, n, f, rng):
         return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
 
-    def bad_columns(self, t, sigma, weights, good_weighted_sum, hide_gain, bad, m, x_max, rng):
-        flips = rng.integers(0, 2, size=m) * 2 - 1
-        raw = int(flips.sum())
-        last = int(flips[-1])
-        return {i: (raw, last) for i in bad}
+    def epoch_moves(self, T, m, rng):
+        # iteration by iteration: one draw for sigma(t), then the leader's m
+        # flips; every integers(0, 2) value takes one 32-bit draw, so one call
+        # yields the values of the 2T calls that order makes
+        draws = rng.integers(0, 2, size=T * (1 + m)).reshape(T, 1 + m) * 2 - 1
+        leader = draws[:, 1:]
+        return draws[:, 0], (leader.sum(axis=1), leader[:, -1])
 
 
 GAME_OPPONENTS = {
@@ -227,6 +248,7 @@ def run_game(cfg: GameConfig) -> GameReport:
     if opp_cls is None:
         raise KeyError(f"unknown game adversary {cfg.adversary!r}; have {sorted(GAME_OPPONENTS)}")
     opp = opp_cls(**cfg.adversary_args)
+    play = _play_iterations if opp.forcing else _play_whole_epoch
 
     streams = [FlipStream(np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, i))))
                for i in range(p.n)]
@@ -243,7 +265,9 @@ def run_game(cfg: GameConfig) -> GameReport:
     reports = []
     ended = None
     for k in range(1, cfg.epochs + 1):
-        rep = _play_epoch(cfg, p, opp, k, weights, bad, good, streams, adv_rng, view_rng)
+        w = np.asarray(weights, dtype=float)
+        played = play(cfg, p, opp, w, bad, good, streams, adv_rng)
+        rep = _close_epoch(p, opp, k, weights, w, bad, played, view_rng)
         reports.append(rep)
         if rep.natural_end_at is not None and cfg.stop_on_natural_end:
             ended = (k, rep.natural_end_at)
@@ -259,9 +283,65 @@ def run_game(cfg: GameConfig) -> GameReport:
     return GameReport(cfg.seed, bad, reports, ended)
 
 
-def _play_epoch(cfg, p, opp, k, weights_in, bad, good, streams, adv_rng, view_rng):
+class _Played(NamedTuple):
+    """One epoch's play, before the end-of-epoch views."""
+
+    iters_played: int
+    natural_end_at: int | None
+    unanimous_iters: int
+    dev: np.ndarray
+    corr: np.ndarray  # diagonal not yet zeroed
+    sg_series: list
+    sb_series: list
+    sigma_series: list
+    raw: list | np.ndarray  # the last iteration's column sums,
+    lam: list | np.ndarray  # its last flips,
+    hideable: list  # and the good partial columns a view may miss
+
+
+_CORR_CHUNK = 1 << 15  # elements of the (rows, n, n) outer products formed at once
+
+
+def _play_whole_epoch(cfg, p, opp, w, bad, good, streams, adv_rng):
+    """Plays an epoch of a non-forcing opponent as array operations, with the
+    values of the iteration loop bit for bit.  Numpy reduces along axis 0 one
+    row after another, so dev and corr stay sequential sums over t; a row sum
+    of a 2-D array is not the 1-D pairwise sum, so sg is summed row by row."""
+    n, m, T, x_max = p.n, p.m, p.T, p.x_max
+    sigma, bad_col = opp.epoch_moves(T, m, adv_rng)
+    raw = np.zeros((T, n), dtype=np.int64)
+    lam = np.zeros(n, dtype=np.int64)
+    for i in good:
+        raw[:, i], lasts = streams[i].take_block(T, m)
+        lam[i] = lasts[-1]
+    if bad_col is not None:
+        for i in bad:
+            raw[:, i], lam[i] = bad_col[0], bad_col[1][-1]
+    wx = w * raw.clip(-x_max, x_max)
+    dev = (wx**2).sum(axis=0)
+    corr = np.zeros((n, n))
+    step = max(1, _CORR_CHUNK // (n * n))
+    for s in range(0, T, step):
+        rows = wx[s:s + step]
+        outer = rows[:, :, None] * rows[:, None, :]
+        outer[0] += corr
+        corr = outer.sum(axis=0)
+    sg_series, sb_series, sigma_series = [], [], []
+    if cfg.record_series:
+        sg_series = [float(row.sum()) for row in wx[:, good]]
+        sb = np.zeros(T)
+        for i in bad:  # the loop's order: sum(wx[i] for i in bad)
+            sb = sb + wx[:, i]
+        sb_series = sb.tolist()
+        sigma_series = sigma.tolist()
+    # no partial good column: every iteration is unanimous, none hideable
+    return _Played(T, None, T, dev, corr, sg_series, sb_series, sigma_series, raw[-1], lam, [])
+
+
+def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):
+    """Plays an epoch of a forcing opponent one iteration at a time: its
+    moves read the good sum and plan partial columns."""
     n, m, T, f, x_max = p.n, p.m, p.T, p.f, p.x_max
-    w = np.asarray(weights_in, dtype=float)
     good_ix = np.array(good)
     bad_order = sorted(bad)
     dev = np.zeros(n)
@@ -314,17 +394,25 @@ def _play_epoch(cfg, p, opp, k, weights_in, bad, good, streams, adv_rng, view_rn
         smin = total + sum(d for d in deltas.values() if d < 0)
         if sgn(smax) == sgn(smin):
             unanimous += 1
-        if opp.forcing and natural_end_at is None:
-            if sigma * total + abs(gain) < 0:
-                natural_end_at = t
-                if cfg.stop_on_natural_end:
-                    break
+        if natural_end_at is None and sigma * total + abs(gain) < 0:
+            natural_end_at = t
+            if cfg.stop_on_natural_end:
+                break
 
+    return _Played(iters, natural_end_at, unanimous, dev, corr, sg_series, sb_series,
+                   sigma_series, raw, lam, hideable)
+
+
+def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
+    """The end of an epoch, for both ways of playing it: each viewer's frozen
+    view, its epoch_advance, the consensus weights and the invariant."""
+    n, f, x_max = p.n, p.f, p.x_max
+    dev, corr = played.dev, played.corr
+    raw, lam, hideable = played.raw, played.lam, played.hideable
     np.fill_diagonal(corr, 0.0)
 
-    # end-of-epoch frozen views: each viewer may miss the final write of the
-    # unforced columns; corrupted viewers choose self-servingly
-    # (raw, lam and hideable are the last iteration's: T >= 1)
+    # frozen views: each viewer may miss the final write of the unforced
+    # columns; corrupted viewers choose self-servingly
     final_wx = w * np.array(raw).clip(-x_max, x_max)
     locals_ = {}
     for pid in range(n):
@@ -358,14 +446,14 @@ def _play_epoch(cfg, p, opp, k, weights_in, bad, good, streams, adv_rng, view_rn
         weights_in=list(weights_in),
         weights_out=cons,
         bad=bad,
-        iters_played=iters,
-        natural_end_at=natural_end_at,
-        unanimous_iters=unanimous,
+        iters_played=played.iters_played,
+        natural_end_at=played.natural_end_at,
+        unanimous_iters=played.unanimous_iters,
         dev=dev,
         corr=corr,
-        sg_series=sg_series,
-        sb_series=sb_series,
-        sigma_series=sigma_series,
+        sg_series=played.sg_series,
+        sb_series=played.sb_series,
+        sigma_series=played.sigma_series,
         inv_lhs=lhs,
         inv_rhs=rhs,
         inv_ok=ok,

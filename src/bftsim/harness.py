@@ -25,6 +25,12 @@ SCHEMA = "bftsim-metrics-1"
 
 MODES = ("bracha", "blackboard", "broadcast-fuzz", "game", "simplified-game")
 
+# The stop predicates rebuild their lists of live handlers only when the
+# corruptions or a strategy's starved or slowed set change.  Corruptions are
+# never undone, so their count tells, and strategies replace those sets
+# instead of changing them in place.
+_NO_PIDS = frozenset()
+
 
 @dataclass
 class ExperimentConfig:
@@ -180,12 +186,15 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
         h.clock = lambda: world_ref().clock
     strategy = make_strategy(cfg.adversary, seed, **cfg.adversary_args)
     max_events, max_iterations, _ = apply_stop_condition(cfg)
-    starved = frozenset()
+    starved = _NO_PIDS
+    key = active = None
 
     def stop(w):
-        nonlocal starved
-        starved = getattr(strategy, "starved", frozenset())
-        active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
+        nonlocal starved, key, active
+        starved = getattr(strategy, "starved", _NO_PIDS)
+        if key != (len(w.corrupted), starved):  # see _NO_PIDS
+            key = (len(w.corrupted), starved)
+            active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
         if active and all(h.decided is not None for h in active):
             return True
         return any(h.iteration > max_iterations for h in active)
@@ -321,12 +330,17 @@ def run_blackboard_once(cfg: ExperimentConfig, seed: int) -> dict:
     world = WorldState(params, handlers, record_trace=cfg.trace)
     strategy = make_strategy(cfg.adversary, seed, **cfg.adversary_args)
 
+    key = pool = None
+
     def stop(w):
-        starved = getattr(strategy, "starved", frozenset())
-        slowed = getattr(strategy, "slowed", frozenset())
-        active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
-        steady = [h for h in active if h.pid not in slowed]
-        pool = steady if len(steady) >= params.n - params.f else active
+        nonlocal key, pool
+        starved = getattr(strategy, "starved", _NO_PIDS)
+        slowed = getattr(strategy, "slowed", _NO_PIDS)
+        if key != (len(w.corrupted), starved, slowed):  # see _NO_PIDS
+            key = (len(w.corrupted), starved, slowed)
+            active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
+            steady = [h for h in active if h.pid not in slowed]
+            pool = steady if len(steady) >= params.n - params.f else active
         return bool(pool) and all(h.finished for h in pool)
 
     result = run(world, strategy, stop, max_events)

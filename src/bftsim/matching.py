@@ -8,10 +8,9 @@ and the dependency graph records every induced direction.
 
 Self-loops count once against their vertex capacity.
 
-Arithmetic is exact (``fractions.Fraction``) by default; ``exact=False``
-selects a double-precision fast path with a small saturation tolerance.
-Infinite edge capacities use ``math.inf`` and never enter the step-size
-minimum.
+Arithmetic is exact (``fractions.Fraction``), so saturation is tested with
+no tolerance.  Infinite edge capacities use ``math.inf`` and never enter the
+step-size minimum.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 INF = math.inf
-
-_FLOAT_TOL = 1e-12
 
 
 class NegativeCapacity(ValueError):
@@ -137,18 +134,17 @@ def _to_exact(x):
     return Fraction(x)
 
 
-def rising_tide(g: CapacitatedGraph, *, exact: bool = True):
+def rising_tide(g: CapacitatedGraph):
     """Raise all positive-capacity edges in lockstep, freezing at saturation.
 
     Returns ``(FractionalMatching, DependencyGraph)``.  Terminates in at most
     |E| rounds; the result is a maximal feasible fractional matching.
     """
-    conv = _to_exact if exact else float
-    zero = Fraction(0) if exact else 0.0
-    c_v = [conv(x) for x in g.c_v]
+    zero = Fraction(0)
+    c_v = [_to_exact(x) for x in g.c_v]
     caps = {}
     for e, cap in g.c_e.items():
-        caps[e] = conv(cap)
+        caps[e] = _to_exact(cap)
 
     active = [e for e, cap in caps.items() if cap > 0]
     mu = {e: zero for e in caps}
@@ -158,11 +154,6 @@ def rising_tide(g: CapacitatedGraph, *, exact: bool = True):
         deg[i] += 1
         if j != i:
             deg[j] += 1
-
-    finite = [float(x) for x in c_v if x is not INF]
-    finite += [float(c) for c in caps.values() if c is not INF]
-    scale = max([1.0] + finite)
-    tol = zero if exact else _FLOAT_TOL * scale
 
     level = zero
     steps = []
@@ -189,12 +180,12 @@ def rising_tide(g: CapacitatedGraph, *, exact: bool = True):
 
         sat_v = set()
         for i in range(g.n):
-            if deg[i] and c_v[i] - (base[i] + deg[i] * level) <= tol:
+            if deg[i] and c_v[i] - (base[i] + deg[i] * level) <= zero:
                 sat_v.add(i)
         sat_e = set()
         for e in active:
             cap = caps[e]
-            if cap is not INF and cap - level <= tol:
+            if cap is not INF and cap - level <= zero:
                 sat_e.add(e)
 
         frozen = []
@@ -206,7 +197,7 @@ def rising_tide(g: CapacitatedGraph, *, exact: bool = True):
             else:
                 still.append(e)
         if not frozen:
-            # Numerically possible only on the float path; force the argmin.
+            # the constraint that set delta saturates exactly: cannot happen
             raise AssertionError("no progress in rising tide step")
         for e in frozen:
             i, j = e
@@ -226,8 +217,6 @@ def rising_tide(g: CapacitatedGraph, *, exact: bool = True):
         )
         step_no += 1
 
-    if not exact:
-        mu = {e: float(v) for e, v in mu.items()}
     return FractionalMatching(g.n, mu, steps), DependencyGraph(g.n, dep_edges)
 
 
@@ -316,7 +305,7 @@ def reconcile_weights(local_vectors, prev_weights, params):
     return out, frozenset(unresolved)
 
 
-def lipschitz_defect(g: CapacitatedGraph, h: CapacitatedGraph, *, exact: bool = True):
+def lipschitz_defect(g: CapacitatedGraph, h: CapacitatedGraph):
     """Residual-weight movement between two inputs versus the eta_V + 2 eta_E budget.
 
     Returns ``(lhs, bound)`` where ``lhs`` is the total difference of
@@ -324,21 +313,20 @@ def lipschitz_defect(g: CapacitatedGraph, h: CapacitatedGraph, *, exact: bool = 
     """
     if g.n != h.n:
         raise VertexSetMismatch(f"n={g.n} vs n={h.n}")
-    mg, _ = rising_tide(g, exact=exact)
-    mh, _ = rising_tide(h, exact=exact)
-    conv = _to_exact if exact else float
+    mg, _ = rising_tide(g)
+    mh, _ = rising_tide(h)
     lhs = 0
     for i in range(g.n):
-        rg = conv(g.c_v[i]) - mg.saturation(i)
-        rh = conv(h.c_v[i]) - mh.saturation(i)
+        rg = _to_exact(g.c_v[i]) - mg.saturation(i)
+        rh = _to_exact(h.c_v[i]) - mh.saturation(i)
         lhs += abs(rg - rh)
-    eta_v = sum(abs(conv(g.c_v[i]) - conv(h.c_v[i])) for i in range(g.n))
+    eta_v = sum(abs(_to_exact(g.c_v[i]) - _to_exact(h.c_v[i])) for i in range(g.n))
     eta_e = 0
     for e in set(g.c_e) | set(h.c_e):
         a, b = g.c_e.get(e, 0), h.c_e.get(e, 0)
         if a is INF and b is INF:
             continue
-        eta_e += abs(conv(a) - conv(b))
+        eta_e += abs(_to_exact(a) - _to_exact(b))
     return lhs, eta_v + 2 * eta_e
 
 

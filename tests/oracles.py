@@ -104,3 +104,43 @@ def random_graph(rng, n_max=8, cap_scale=1.0, p_edge=0.55, p_self=0.35, p_inf=0.
                 else:
                     c_e[(i, j)] = float(rng.uniform(0, cap_scale * 0.6))
     return c_v, c_e
+
+
+def reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record_series):
+    """The epoch game's iteration loop for an opponent that never reads the
+    good flips (honest-random, crash-stop, colluding): the reference for
+    ``game._play_whole_epoch``.  Every good process draws its column with one
+    ``integers`` call per iteration on its own generator in ``flip_rngs``;
+    the opponent draws sigma(t), then the colluding leader's column, on
+    ``adv_rng``.  Returns the fields of ``game._Played`` as a dict."""
+    n, m, T, x_max = p.n, p.m, p.T, p.x_max
+    good_ix = np.array(good)
+    dev = np.zeros(n)
+    corr = np.zeros((n, n))
+    sg_series, sb_series, sigma_series = [], [], []
+    for _t in range(T):
+        sigma = int(adv_rng.integers(0, 2)) * 2 - 1
+        raw = [0] * n
+        lam = [0] * n
+        for i in good:
+            flips = flip_rngs[i].integers(0, 2, size=m) * 2 - 1
+            raw[i], lam[i] = int(flips.sum()), int(flips[-1])
+        x = np.array(raw).clip(-x_max, x_max)
+        sg = float((w * x)[good_ix].sum())
+        if opponent == "colluding":
+            flips = adv_rng.integers(0, 2, size=m) * 2 - 1
+            for i in bad:
+                raw[i], lam[i] = int(flips.sum()), int(flips[-1])
+                x[i] = min(max(float(raw[i]), -x_max), x_max)
+        wx = w * x
+        dev += wx**2
+        corr += np.outer(wx, wx)
+        if record_series:
+            sg_series.append(sg)
+            sb_series.append(float(sum(wx[i] for i in bad)))
+            sigma_series.append(sigma)
+    # every column is full, so no view can miss a write: no hideable column,
+    # every iteration unanimous and no natural end
+    return dict(iters_played=T, natural_end_at=None, unanimous_iters=T, dev=dev, corr=corr,
+                sg_series=sg_series, sb_series=sb_series, sigma_series=sigma_series,
+                raw=raw, lam=lam, hideable=[])

@@ -232,6 +232,91 @@ def test_flip_stream_matches_per_call_draws():
         assert stream.take(length) == (int(flips.sum()), int(flips[-1]))
 
 
+def test_flip_stream_blocks_match_per_call_draws():
+    # block takes, interleaved with single takes, read the same flips as one
+    # integers() call per column on a twin generator, leftovers included
+    from bftsim.game import _FLIP_BLOCK, FlipStream
+
+    pick = np.random.default_rng(2025)
+    stream = FlipStream(np.random.default_rng(np.random.SeedSequence((12, 7, 4))))
+    twin = np.random.default_rng(np.random.SeedSequence((12, 7, 4)))
+    shapes = [(1, 1), (3, 1), (130, 7), (1, _FLIP_BLOCK + 5), (64, 8), (300, 7), (2, 3)]
+    shapes += [(int(r), int(c)) for r, c in pick.integers(1, 40, size=(60, 2))]
+    for k, (rows, length) in enumerate(shapes):
+        want = [twin.integers(0, 2, size=length) * 2 - 1 for _ in range(rows)]
+        if k % 3 == 2:
+            for flips in want:
+                assert stream.take(length) == (int(flips.sum()), int(flips[-1]))
+            continue
+        sums, lasts = stream.take_block(rows, length)
+        assert sums.tolist() == [int(flips.sum()) for flips in want]
+        assert lasts.tolist() == [int(flips[-1]) for flips in want]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _game_generators(seed, n):
+    """Twins of the flip, opponent and view generators ``run_game`` seeds."""
+    return ([np.random.default_rng(np.random.SeedSequence((seed, 7, i))) for i in range(n)],
+            np.random.default_rng(np.random.SeedSequence((seed, 0xAD))),
+            np.random.default_rng(np.random.SeedSequence((seed, 0x51DE))))
+
+
+# (n, f, T): T * m below, across and above the 1,024-flip block, so epochs
+# start on flips left over from the one before
+REFERENCE_SHAPES = [(9, 2, 100), (13, 3, 130), (20, 4, 300), (41, 10, 24)]
+
+
+@pytest.mark.parametrize("opponent", ["honest-random", "crash-stop", "colluding"])
+def test_whole_epoch_play_matches_reference_loop(opponent):
+    # the array play of a whole epoch against the iteration loop it replaces,
+    # bit for bit: 64 seeded three-epoch games per opponent
+    import itertools
+
+    from bftsim.game import GAME_OPPONENTS, FlipStream, _close_epoch, _Played, _play_whole_epoch
+    from oracles import reference_epoch
+
+    cases = itertools.product(REFERENCE_SHAPES, (7, 8), (1, 4), (True, False), (True, False))
+    for k, ((n, f, T), m, c, record, zero_bad) in enumerate(cases):
+        seed = 95000 + k
+        p = ProtocolParams(n=n, f=f, eps=0.5, m=m, T=T, c=c)
+        assert p.k_max >= 3  # three epochs, no restart
+        cfg = GameConfig(params=p, adversary=opponent, epochs=3, seed=seed,
+                         stop_on_natural_end=False, zero_bad_weights=zero_bad,
+                         record_series=record)
+        report = run_game(cfg)
+
+        opp = GAME_OPPONENTS[opponent]()
+        flip_rngs, adv_rng, view_rng = _game_generators(seed, n)
+        block_rngs, block_adv_rng, _ = _game_generators(seed, n)
+        streams = [FlipStream(rng) for rng in block_rngs]
+        bad = opp.pick_bad(n, f, adv_rng)
+        assert opp.pick_bad(n, f, block_adv_rng) == bad == report.bad
+        good = [i for i in range(n) if i not in bad]
+        weights = [0.0 if zero_bad and i in bad else 1.0 for i in range(n)]
+        assert len(report.epochs) == 3
+        for ep in report.epochs:
+            w = np.asarray(weights, dtype=float)
+            want = reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record)
+            got = _play_whole_epoch(cfg, p, opp, w, bad, good, streams, block_adv_rng)
+            assert np.asarray(got.raw).tobytes() == np.array(want["raw"], dtype=np.int64).tobytes()
+            assert np.asarray(got.lam).tobytes() == np.array(want["lam"], dtype=np.int64).tobytes()
+            assert got.dev.tobytes() == want["dev"].tobytes()
+            assert got.corr.tobytes() == want["corr"].tobytes()
+            rep = _close_epoch(p, opp, ep.epoch, weights, w, bad, _Played(**want), view_rng)
+            assert ep.dev.tobytes() == rep.dev.tobytes()
+            assert ep.corr.tobytes() == rep.corr.tobytes()
+            assert _hexes(ep.sg_series) == _hexes(rep.sg_series) == _hexes(got.sg_series)
+            assert _hexes(ep.sb_series) == _hexes(rep.sb_series) == _hexes(got.sb_series)
+            assert ep.sigma_series == rep.sigma_series == got.sigma_series
+            assert len(ep.sigma_series) == (T if record else 0)
+            assert _hexes(ep.weights_out) == _hexes(rep.weights_out)
+            assert (ep.iters_played, ep.unanimous_iters, ep.natural_end_at) == (T, T, None)
+            weights = rep.weights_out
+
+
 # -- golden digests --------------------------------------------------------------
 
 

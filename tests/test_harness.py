@@ -177,9 +177,59 @@ def test_cli_sweep(tmp_path):
         "--grid", "n=5,6", "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
-    _, records = parse_metrics(out)
+    header, records = parse_metrics(out)
     assert len(records) == 4  # 2 n-values x 2 seeds
     assert {r["n"] for r in records} == {"5", "6"}
+    assert out.read_text().splitlines()[0] == json.dumps(header, separators=(",", ":"))
+    assert header == {"schema": "bftsim-metrics-1", "rec": "header", "mode": "bracha", "f": 1,
+                      "adversary": "honest-random", "seeds": [0, 1], "grid": {"n": ["5", "6"]}}
+
+
+def _fresh_stop(mode, params, handlers, w, strategy, max_iterations):
+    """The stop predicates as a scan of every handler on every poll."""
+    starved = getattr(strategy, "starved", frozenset())
+    active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
+    if mode == "bracha":
+        if active and all(h.decided is not None for h in active):
+            return True
+        return any(h.iteration > max_iterations for h in active)
+    slowed = getattr(strategy, "slowed", frozenset())
+    steady = [h for h in active if h.pid not in slowed]
+    pool = steady if len(steady) >= params.n - params.f else active
+    return bool(pool) and all(h.finished for h in pool)
+
+
+@pytest.mark.parametrize("mode, adversary", [
+    ("blackboard", "fuzz"), ("blackboard", "crash-stop"), ("bracha", "crash-stop"),
+    ("bracha", "starve-subset"), ("bracha", "fuzz"),
+])
+def test_stop_predicate_matches_fresh_scan(monkeypatch, mode, adversary):
+    # the predicates keep their handler lists between polls; every poll must
+    # answer as a fresh scan would, across corruptions and the fuzz
+    # strategy's changing slowed set
+    import bftsim.harness as harness
+
+    real_run = harness.run
+    answers = []
+
+    def run(world, strategy, stop, max_events):
+        def polled(w):
+            got = stop(w)
+            answers.append((got, _fresh_stop(mode, w.params, w.handlers, w, strategy, 50)))
+            return got
+
+        return real_run(world, strategy, polled, max_events)
+
+    monkeypatch.setattr(harness, "run", run)
+    if mode == "bracha":
+        cfg = make_config(mode="bracha", n=9, f=2, m=4, T=16, coin="local", adversary=adversary,
+                          seeds=[3], inputs="mixed", max_iterations=50)
+    else:
+        cfg = make_config(mode="blackboard", n=8, f=2, m=8, T=16, boards=2, adversary=adversary,
+                          seeds=[3])
+    run_experiment(cfg)
+    assert len(answers) > 20 and answers[-1][0]
+    assert all(got == want for got, want in answers)
 
 
 def test_cli_verify(tmp_path):
