@@ -10,7 +10,6 @@ import random
 import weakref
 
 from .broadcast import INIT, ECHO, READY
-from .params import sgn
 from .sim import COMPUTE, CORRUPT, DELIVER
 
 

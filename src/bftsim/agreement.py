@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .blackboard import ACK, LAST, VOTE, WRITE, BlackboardNode, FinalView
 from .broadcast import RBNode, ValidationLedger
-from .matching import build_excess_graph, reconcile_weights, rising_tide, weight_update_local
-from .params import ProtocolParams, clamp_coin_sum, sgn
+from .matching import build_excess_graph, rising_tide, weight_update_local
+from .params import ProtocolParams, sgn
 from .stats import compute_stats
 
 
@@ -82,9 +82,7 @@ def coin_flip(view: FinalView, weights, params: ProtocolParams) -> int:
     Processes that wrote nothing contribute nothing regardless of weight."""
     total = 0.0
     for i in range(params.n):
-        vals = view.column_values(view.t, i)
-        if vals:
-            total += weights[i] * clamp_coin_sum(float(sum(vals)), params.x_max)
+        total += weights[i] * view.column_sum(view.t, i, params)
     return sgn(total)
 
 
@@ -131,43 +129,14 @@ class WeightBook:
             return cached
         p = self.params
         prev = [self.weight_of(i, k - 1) for i in range(p.n)]
-        xs = []
-        for t in range((k - 1) * p.T + 1, k * p.T + 1):
-            row = []
-            for i in range(p.n):
-                bound = lastbar[i]
-                total = 0
-                seen = False
-                for r in range(1, p.m + 1):
-                    if (t, r) > bound:
-                        break
-                    v = self.board.cells.get((t, r, i))
-                    if v is None:
-                        break
-                    total += v
-                    seen = True
-                row.append(clamp_coin_sum(float(total), p.x_max) if seen else 0.0)
-            xs.append(row)
-        st = compute_stats(xs, prev, p, epoch=k)
-        graph = build_excess_graph(prev, st.dev, st.corr, p)
-        matching, _ = rising_tide(graph)
+        view = FinalView(k * p.T, lastbar, self.board.cells, p.n, p.m)
+        xs = [[view.column_sum(t, i, p) for i in range(p.n)]
+              for t in range((k - 1) * p.T + 1, k * p.T + 1)]
+        dev, corr = compute_stats(xs, prev)
+        matching, _ = rising_tide(build_excess_graph(prev, dev, corr, p))
         out = weight_update_local(prev, matching)
         self._viewer_cache[key] = out
         return out
-
-    def consensus_after(self, k: int):
-        """Consensus vector after epoch k from currently accepted disclosures
-        (entries of silent processes carry their previous weight)."""
-        local = {}
-        p = self.params
-        if k % (p.k_max + 1) == 0:
-            return [1.0] * p.n, frozenset()
-        for q in range(p.n):
-            vec = self.board.cells.get((k * p.T + 1, 0, q))
-            if vec is not None and self._plausible_vector(vec):
-                local[q] = self.viewer_weights(tuple(tuple(x) for x in vec), k)
-        prev = [self.weight_of(i, k - 1) for i in range(p.n)]
-        return reconcile_weights(local, prev, p)
 
 
 def epoch_advance(weights, dev, corr, params: ProtocolParams):

@@ -21,6 +21,25 @@ DUMMY = ("dummy",)  # row-0 payload for t = 1
 
 WRITE, ACK, LAST, VOTE = "write", "ack", "last", "vote"
 
+# tag -> (arity, end of the int fields): VOTE (it, ph, value), WRITE (t, r,
+# value), ACK (t, r, q), LAST (t, vector)
+_SHAPES = {VOTE: (4, 3), WRITE: (4, 3), ACK: (4, 4), LAST: (3, 2)}
+
+
+def well_formed(payload) -> bool:
+    """A known tag, its arity, and ints in the integer fields: the shape
+    every protocol payload must have before any handler unpacks it."""
+    try:
+        arity, end = _SHAPES[payload[0]]
+    except (TypeError, IndexError, KeyError):
+        return False
+    if type(payload) is not tuple or len(payload) != arity:
+        return False
+    for x in payload[1:end]:
+        if type(x) is not int:
+            return False
+    return True
+
 
 class WriterAbsent(KeyError):
     """Reconstruction asked for a process that never wrote to the board."""
@@ -73,10 +92,8 @@ class FinalView:
         return out
 
     def column_sum(self, t_prime, i, params) -> float:
+        """Clamped sum of column i of board t_prime; 0.0 for a blank column."""
         return clamp_coin_sum(float(sum(self.column_values(t_prime, i))), params.x_max)
-
-    def coin_sums(self, t_prime, params):
-        return [self.column_sum(t_prime, i, params) for i in range(self.n)]
 
     def full_columns(self, t_prime):
         return [i for i in range(self.n) if self.lastbar[i] >= (t_prime, self.m)]
@@ -185,9 +202,6 @@ class BlackboardNode:
             self.last_frozen[t] = frozen
             self.send((LAST, t, frozen))
 
-    def check_complete(self, t) -> bool:
-        return t in self.complete
-
     def _check_finalize(self, t):
         if t != self.current_t or t in self.lastbar:
             return
@@ -211,6 +225,8 @@ class BlackboardNode:
     def gate(self, origin, payload) -> bool:
         """May this process participate in (echo/count/accept) the broadcast
         of ``payload``?  Malformed byzantine payloads never open the gate."""
+        if not well_formed(payload):
+            return False
         try:
             tag = payload[0]
             if tag == VOTE:
@@ -232,6 +248,8 @@ class BlackboardNode:
                     if len(below) < self.need:
                         return False
                     return lex_max([tuple(tuple(p) for p in v) for v in below]) == zeta
+                if type(value) is not int or value not in (1, -1):
+                    return False  # a coin write carries +-1
                 senders = self.ack_senders.get((t, r - 1, origin))
                 return senders is not None and len(senders) >= self.need
             if tag == ACK:

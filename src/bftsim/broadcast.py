@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 
 INIT, ECHO, READY = 0, 1, 2
-_KIND_NAMES = {INIT: "init", ECHO: "echo", READY: "ready"}
 _CLOSED = object()  # equal to no payload: no gate has opened yet
 _NOBODY = frozenset()
 
@@ -35,18 +34,6 @@ class EquivocationRecord:
     sender: int
     kind: int
     payloads: tuple
-
-
-def encode_wire(kind: int, origin: int, seq: int, payload) -> bytes:
-    """Wire serialization: 1-byte kind tag + origin + seq + length-prefixed body."""
-    body = repr(payload).encode()
-    return (
-        bytes([kind])
-        + origin.to_bytes(2, "big")
-        + seq.to_bytes(4, "big")
-        + len(body).to_bytes(4, "big")
-        + body
-    )
 
 
 class RBInstance:
@@ -151,13 +138,6 @@ class RBInstance:
             self.accepted = self.payloads[idx]
             return self.accepted
         return None
-
-
-def rb_handle(inst: RBInstance, msg, node):
-    """Feed one (src, kind, payload) message to an instance; returns the
-    accepted payload if acceptance fired."""
-    src, kind, payload = msg
-    return inst.process(src, kind, payload, node)
 
 
 class RBNode:
@@ -303,13 +283,6 @@ class RBNode:
         self.out_wire = []
         return out
 
-    def accepted_payload(self, origin, seq):
-        inst = self.instances.get((origin, seq))
-        return None if inst is None else inst.accepted
-
-    def has_accepted(self, origin, seq) -> bool:
-        return self.next_seq[origin] > seq
-
 
 class ValidationLedger:
     """Chained state validation: claim (q, r, value) is validated once q's
@@ -384,10 +357,3 @@ class ValidationLedger:
                 frontier.extend((r, r + 1))
         return newly
 
-
-def validate(ledger: ValidationLedger, q, r, value) -> bool:
-    """Spec-shaped entry point: record the claim (idempotent) and report
-    whether it is validated.  Unvalidated claims are re-checked automatically
-    as later claims arrive."""
-    ledger.add_claim(q, r, value)
-    return (q, r) in ledger.validated

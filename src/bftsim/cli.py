@@ -14,6 +14,7 @@ import json
 import sys
 
 from .harness import (
+    coerce_config,
     emit_metrics,
     header_record,
     load_config_file,
@@ -117,7 +118,7 @@ def cmd_sweep(args) -> int:
     grid = {}
     for spec in args.grid or []:
         key, _, values = spec.partition("=")
-        grid[key] = values.split(",")
+        grid[key] = [coerce_config({key: v})[key] for v in values.split(",")]  # typed as in the config
     keys = sorted(grid)
     header = None
     all_records = []

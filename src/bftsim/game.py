@@ -29,6 +29,7 @@ import numpy as np
 
 from .adversary import counteract_bad_values
 from .agreement import epoch_advance
+from .matching import reconcile_weights
 from .params import ProtocolParams, clamp_coin_sum, sgn
 
 
@@ -126,10 +127,6 @@ class GameOpponent:
         return rng.integers(0, 2, size=T) * 2 - 1, None
 
 
-class HonestGame(GameOpponent):
-    name = "honest-random"
-
-
 class CrashGame(GameOpponent):
     """f processes are corrupted at the start and never write anything."""
 
@@ -186,7 +183,7 @@ class ColludingGame(GameOpponent):
 
 
 GAME_OPPONENTS = {
-    cls.name: cls for cls in (HonestGame, CrashGame, CounteractGame, ColludingGame)
+    cls.name: cls for cls in (GameOpponent, CrashGame, CounteractGame, ColludingGame)
 }
 
 
@@ -233,11 +230,13 @@ class GameReport:
         return self.ended_at is not None
 
 
-def _invariant_check(weights, bad, params):
+def weight_loss(weights, bad, eps, f):
+    """The two sides of invariant 3.3, good loss <= bad loss + eps^2 f / 8:
+    returns (good loss, bad loss + eps^2 f / 8).  Callers add the tolerance
+    their weights need."""
     good_loss = sum(1.0 - w for i, w in enumerate(weights) if i not in bad)
     bad_loss = sum(1.0 - w for i, w in enumerate(weights) if i in bad)
-    rhs = bad_loss + params.eps**2 * params.f / 8.0
-    return good_loss, rhs, good_loss <= rhs + 1e-12
+    return good_loss, bad_loss + eps**2 * f / 8.0
 
 
 def run_game(cfg: GameConfig) -> GameReport:
@@ -257,10 +256,7 @@ def run_game(cfg: GameConfig) -> GameReport:
 
     bad = opp.pick_bad(p.n, p.f, adv_rng)
     good = [i for i in range(p.n) if i not in bad]
-    weights = [1.0] * p.n
-    if cfg.zero_bad_weights:
-        for i in bad:
-            weights[i] = 0.0
+    weights = initial = [0.0 if cfg.zero_bad_weights and i in bad else 1.0 for i in range(p.n)]
 
     reports = []
     ended = None
@@ -272,14 +268,8 @@ def run_game(cfg: GameConfig) -> GameReport:
         if rep.natural_end_at is not None and cfg.stop_on_natural_end:
             ended = (k, rep.natural_end_at)
             break
-        if k % (p.k_max + 1) == 0:
-            # undecided after the endgame epoch: restart with unit weights
-            weights = [1.0] * p.n
-            if cfg.zero_bad_weights:
-                for i in bad:
-                    weights[i] = 0.0
-        else:
-            weights = rep.weights_out
+        # undecided after the endgame epoch: restart with unit weights
+        weights = initial if k % (p.k_max + 1) == 0 else rep.weights_out
     return GameReport(cfg.seed, bad, reports, ended)
 
 
@@ -433,14 +423,8 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
                 best = (new_w, hidden)
         locals_[pid] = best[0]
 
-    cons = list(w)
-    w_min = p.w_min
-    for i in range(n):
-        if i in locals_:
-            wi = locals_[i][i]
-            cons[i] = wi if wi > w_min else 0.0
-
-    lhs, rhs, ok = _invariant_check(cons, bad, p)
+    cons, _ = reconcile_weights(locals_, w, p)
+    lhs, rhs = weight_loss(cons, bad, p.eps, p.f)
     return EpochReport(
         epoch=k,
         weights_in=list(weights_in),
@@ -456,7 +440,7 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
         sigma_series=played.sigma_series,
         inv_lhs=lhs,
         inv_rhs=rhs,
-        inv_ok=ok,
+        inv_ok=lhs <= rhs + 1e-12,
     )
 
 

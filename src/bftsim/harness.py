@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from .adversary import make_strategy
 from .agreement import BlackboardProcess, BrachaProcess, DecisionRecord, check_agreement
 from .broadcast import RBNode
-from .game import GameConfig, run_game
+from .game import GAME_OPPONENTS, GameConfig, run_game, weight_loss
 from .params import ConfigInvalid, ProtocolParams
 from .sim import WorldState, run
 from .stats import SimpleGameConfig, detect_pair, run_simplified_game
@@ -24,12 +24,38 @@ from . import adversary as _adversary
 SCHEMA = "bftsim-metrics-1"
 
 MODES = ("bracha", "blackboard", "broadcast-fuzz", "game", "simplified-game")
+COINS = ("local", "blackboard")
+INPUTS = ("mixed", "random", "unanimous+1", "unanimous-1")
+STOP_FORMS = ("max-events", "epoch-limit", "boards")  # each as "form:K"
 
 # The stop predicates rebuild their lists of live handlers only when the
 # corruptions or a strategy's starved or slowed set change.  Corruptions are
 # never undone, so their count tells, and strategies replace those sets
 # instead of changing them in place.
 _NO_PIDS = frozenset()
+
+
+def adversary_catalog(mode):
+    """The adversary catalog a mode draws its ``adversary`` name from."""
+    if mode == "game":
+        return GAME_OPPONENTS
+    if mode == "simplified-game":
+        return _adversary.SIMPLE_ADVERSARIES
+    return _adversary.STRATEGIES
+
+
+def parse_stop(stop):
+    """``(form, K)`` for a ``form:K`` stop spec, or ``("decided-all", None)``."""
+    stop = stop or "decided-all"
+    if stop == "decided-all":
+        return stop, None
+    form, _, k = stop.partition(":")
+    try:
+        if form in STOP_FORMS:
+            return form, int(k)
+    except ValueError:
+        pass
+    raise ConfigInvalid(f"unknown stop condition {stop!r}; forms: decided-all, {':K, '.join(STOP_FORMS)}:K")
 
 
 @dataclass
@@ -63,6 +89,13 @@ class ExperimentConfig:
             raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.seeds:
             raise ConfigInvalid("at least one seed required")
+        for name, value, known in (("coin", self.coin, COINS), ("inputs", self.inputs, INPUTS),
+                                   ("adversary", self.adversary, adversary_catalog(self.mode))):
+            if value not in known:
+                raise ConfigInvalid(f"{self.mode} {name} must be one of {sorted(known)}, got {value!r}")
+        if self.epochs < 1 or self.boards < 1:
+            raise ConfigInvalid(f"need epochs >= 1 and boards >= 1, got {self.epochs} and {self.boards}")
+        parse_stop(self.stop)
         weighted = (self.mode == "bracha" and self.coin == "blackboard") or self.mode == "game"
         if weighted and self.f > 0 and 4 * self.f >= self.n:
             raise ConfigInvalid(f"weighted-coin runs need f < n/4 (n={self.n}, f={self.f})")
@@ -93,7 +126,7 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _coerce(cfg_kwargs: dict) -> dict:
+def coerce_config(cfg_kwargs: dict) -> dict:
     """String-typed config values (from files / CLI) to their field types."""
     typed = {}
     fields = ExperimentConfig.__dataclass_fields__
@@ -131,7 +164,7 @@ def parse_seed_spec(spec) -> list:
 
 
 def make_config(**kwargs) -> ExperimentConfig:
-    return ExperimentConfig(**_coerce(kwargs))
+    return ExperimentConfig(**coerce_config(kwargs))
 
 
 # -- single-run drivers -----------------------------------------------------
@@ -143,20 +176,14 @@ def apply_stop_condition(cfg: ExperimentConfig):
     Forms: ``decided-all`` (default), ``max-events:N``, ``epoch-limit:K``
     (at most K epochs' worth of iterations), ``boards:K`` (blackboard mode).
     """
-    stop = cfg.stop or "decided-all"
-    max_events = cfg.max_events
-    max_iterations = cfg.max_iterations
-    boards = cfg.boards
-    if stop.startswith("max-events:"):
-        max_events = int(stop.split(":", 1)[1])
-    elif stop.startswith("epoch-limit:"):
-        k = int(stop.split(":", 1)[1])
-        T = cfg.T if cfg.T else cfg.params().T
-        max_iterations = k * T
-    elif stop.startswith("boards:"):
-        boards = int(stop.split(":", 1)[1])
-    elif stop != "decided-all":
-        raise ConfigInvalid(f"unknown stop condition {stop!r}")
+    form, k = parse_stop(cfg.stop)
+    max_events, max_iterations, boards = cfg.max_events, cfg.max_iterations, cfg.boards
+    if form == "max-events":
+        max_events = k
+    elif form == "epoch-limit":
+        max_iterations = k * (cfg.T if cfg.T else cfg.params().T)
+    elif form == "boards":
+        boards = k
     return max_events, max_iterations, boards
 
 
@@ -491,11 +518,7 @@ def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
 
 def run_simplified_once(cfg: ExperimentConfig, seed: int) -> dict:
     sg = SimpleGameConfig(n=cfg.n, T=cfg.T if cfg.T else 1000, eps=cfg.eps)
-    adv_cls = _adversary.SIMPLE_ADVERSARIES.get(cfg.adversary)
-    if adv_cls is None:
-        raise ConfigInvalid(
-            f"unknown simplified-game adversary {cfg.adversary!r}; have {sorted(_adversary.SIMPLE_ADVERSARIES)}"
-        )
+    adv_cls = _adversary.SIMPLE_ADVERSARIES[cfg.adversary]
     stop_on_loss = cfg.adversary_args.get("stop_on_loss", "false") == "true"
     result = run_simplified_game(sg, adv_cls(), seed, stop_on_loss=stop_on_loss)
     pair = detect_pair(result.values) if result.rounds_played >= 2 else None
@@ -581,10 +604,6 @@ def parse_metrics(path):
     return header, records
 
 
-def safety_ok(records) -> bool:
-    return all(not r.get("violations") for r in records)
-
-
 # -- trace verification -------------------------------------------------------
 
 
@@ -662,11 +681,8 @@ def verify_trace(records, f=None) -> list:
         ok = True
         first = -1
         for r in weight_recs:
-            bad = set(r["bad"])
-            good_loss = sum(1.0 - w for i, w in enumerate(r["weights"]) if i not in bad)
-            bad_loss = sum(1.0 - w for i, w in enumerate(r["weights"]) if i in bad)
-            slack = float(r["eps"]) ** 2 * float(r["f"]) / 8.0
-            if good_loss > bad_loss + slack + 1e-9:
+            good_loss, bound = weight_loss(r["weights"], set(r["bad"]), float(r["eps"]), float(r["f"]))
+            if good_loss > bound + 1e-9:  # trace weights are rounded to 12 places
                 ok = False
                 first = r["epoch"]
                 break

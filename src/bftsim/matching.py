@@ -29,10 +29,6 @@ class VertexSetMismatch(ValueError):
     """Comparing or combining graphs over different vertex sets."""
 
 
-class MissingSelfView(KeyError):
-    """A process's own weight vector is unavailable during reconciliation."""
-
-
 def _canon(i, j):
     return (i, j) if i <= j else (j, i)
 
@@ -63,9 +59,6 @@ class CapacitatedGraph:
 
     def edge_cap(self, i, j):
         return self.c_e.get(_canon(i, j), 0)
-
-    def edges(self):
-        return list(self.c_e.keys())
 
 
 @dataclass
@@ -106,9 +99,6 @@ class DependencyGraph:
 
     n: int
     edges: set
-
-    def successors(self, u):
-        return [v for (a, v) in self.edges if a == u]
 
     def is_dag(self) -> bool:
         adj = {i: [] for i in range(self.n)}
@@ -244,8 +234,8 @@ def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
     """Excess graph for one epoch: vertex capacities are current weights,
     self-loops carry deviation excess, edges carry doubled correlation excess.
 
-    ``corr`` may be a dict keyed by (i, j) with i < j or a full symmetric
-    matrix (anything indexable as corr[i][j]).
+    ``corr`` is a symmetric n-by-n matrix (anything indexable as corr[i][j]);
+    only its upper triangle is read.
     """
     n = params.n
     if params.f == 0:
@@ -257,10 +247,7 @@ def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
         excess = max(0.0, dev[i] - weights[i] ** 2 * alpha_T)
         if excess > 0:
             c_e[(i, i)] = min(coeff * excess, weights[i])
-    if isinstance(corr, dict):
-        rows = [[corr.get((i, j), 0.0) for j in range(n)] for i in range(n)]
-    else:
-        rows = corr.tolist() if hasattr(corr, "tolist") else corr  # numpy: read once
+    rows = corr.tolist() if hasattr(corr, "tolist") else corr  # numpy: read once
     for i in range(n):
         row, wi = rows[i], weights[i]
         for j in range(i + 1, n):
@@ -293,13 +280,13 @@ def reconcile_weights(local_vectors, prev_weights, params):
     are reported in the unresolved set (they are excluded from participation
     until they disclose a view).
     """
-    n = params.n
+    w_min = params.w_min
     out = list(prev_weights)
     unresolved = set()
-    for i in range(n):
+    for i in range(params.n):
         if i in local_vectors:
             wi = local_vectors[i][i]
-            out[i] = wi if wi > params.w_min else 0.0
+            out[i] = wi if wi > w_min else 0.0
         else:
             unresolved.add(i)
     return out, frozenset(unresolved)
@@ -355,9 +342,3 @@ def parse_graph(text: str) -> CapacitatedGraph:
             raise ValueError(f"bad fixture line: {ln!r}")
     return CapacitatedGraph(n, c_v, c_e)
 
-
-def dump_matching(m: FractionalMatching) -> str:
-    lines = [str(m.n)]
-    for (i, j), v in sorted(m.mu.items()):
-        lines.append(f"E {i} {j} {float(v)!r}")
-    return "\n".join(lines) + "\n"

@@ -182,12 +182,6 @@ class WorldState:
                 )
 
 
-def apply_event(world: WorldState, event, strategy=None) -> WorldState:
-    """Apply one event in place and return the world (single-threaded use only)."""
-    world.apply(event, strategy)
-    return world
-
-
 class AdversaryView:
     """Full-information snapshot facade: every process state, all buffers,
     all past coin flips.  Future randomness stays inside per-process
@@ -215,18 +209,8 @@ class AdversaryView:
     def handler(self, pid):
         return self._world.handlers[pid]
 
-    def pending_out(self):
-        return self._world._out_list
-
-    def pending_in(self):
-        return self._world._in_list
-
     def out_queue(self, src, dst):
         return tuple(m for m, _ in self._world.out_bufs[src][dst])
-
-
-def full_snapshot(world: WorldState) -> AdversaryView:
-    return AdversaryView(world)
 
 
 @dataclass
@@ -236,16 +220,15 @@ class RunResult:
     chain_depth: int
     trace: list = field(default_factory=list)
 
-    @property
-    def terminated(self) -> bool:
-        return self.stopped != "max-events"
+
+_STOP_STRIDE = 16
 
 
-def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000, stop_stride: int = 16) -> RunResult:
+def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> RunResult:
     """Drive the world with the strategy until the stop condition, quiescence,
     or the event budget.  Hitting the budget is reported, not fatal.
 
-    The stop predicate is polled every ``stop_stride`` events (stop conditions
+    The stop predicate is polled every ``_STOP_STRIDE`` events (stop conditions
     are persistent, so a short overshoot is harmless and saves the scan)."""
     strategy.setup(world)
     view = AdversaryView(world)
@@ -256,7 +239,7 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000, sto
         if countdown <= 0:
             if stop is not None and stop(world):
                 return RunResult(world.clock, "stop", world.chain_depth, world.trace)
-            countdown = stop_stride
+            countdown = _STOP_STRIDE
         if world.clock >= max_events:
             return RunResult(world.clock, "max-events", world.chain_depth, world.trace)
         event = next_event(view)

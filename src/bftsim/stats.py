@@ -1,4 +1,4 @@
-"""Coin-sum extraction, deviation/correlation statistics, and the simplified-game detector.
+"""Deviation/correlation statistics and the simplified-game detector.
 
 All statistics are pure functions over frozen views or plain arrays, so they
 can be evaluated concurrently across epochs and runs.  Accumulation uses
@@ -12,40 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ProtocolParams, clamp_coin_sum, sgn
+from .params import sgn
 
 
-def thresholds(params: ProtocolParams):
-    """Deviation and correlation budgets (alpha_T, beta_T) for one epoch."""
-    return params.alpha_T, params.beta_T
-
-
-def column_sum(view, t: int, i: int, params: ProtocolParams) -> float:
-    """Clamped sum of the non-blank entries in column i of blackboard t of a frozen view."""
-    return clamp_coin_sum(float(sum(view.column_values(t, i))), params.x_max)
-
-
-@dataclass
-class EpochStats:
-    """Weighted second-moment and pairwise-product statistics for one epoch."""
-
-    epoch: int
-    dev: list
-    corr: dict  # (i, j), i < j -> value
-    alpha: float
-    beta: float
-
-    def corr_at(self, i, j):
-        if i == j:
-            raise ValueError("corr is defined for distinct pairs")
-        return self.corr.get((i, j) if i < j else (j, i), 0.0)
-
-
-def compute_stats(xs, weights, params: ProtocolParams, epoch: int = 1) -> EpochStats:
+def compute_stats(xs, weights):
     """dev(i) = sum_t (w_i X_i(t))^2 and corr(i,j) = sum_t w_i w_j X_i(t) X_j(t).
 
     ``xs`` is a T-by-n array-like of already-clamped column sums as seen by
-    one viewer.  Weights are fixed for the whole epoch.
+    one viewer.  Weights are fixed for the whole epoch.  Returns ``(dev,
+    corr)``: a list of n sums and an n-by-n symmetric matrix with a zero
+    diagonal.
     """
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 2:
@@ -53,12 +29,11 @@ def compute_stats(xs, weights, params: ProtocolParams, epoch: int = 1) -> EpochS
     n = arr.shape[1]
     w = np.asarray(weights, dtype=float)
     dev = [math.fsum((w[i] * arr[:, i]) ** 2) for i in range(n)]
-    corr = {}
+    corr = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            val = math.fsum(w[i] * w[j] * arr[:, i] * arr[:, j])
-            corr[(i, j)] = val
-    return EpochStats(epoch, dev, corr, params.alpha_T, params.beta_T)
+            corr[i, j] = corr[j, i] = math.fsum(w[i] * w[j] * arr[:, i] * arr[:, j])
+    return dev, corr
 
 
 @dataclass(frozen=True)
@@ -150,18 +125,3 @@ def detect_pair(values) -> tuple[int, int]:
                 best = (i, j)
     return best
 
-
-def export_epoch_stats(records) -> str:
-    """Columnar text export: one block per epoch with dev, upper-triangle corr,
-    and the thresholds in force."""
-    lines = []
-    for st in records:
-        lines.append(f"epoch {st.epoch} alpha {st.alpha!r} beta {st.beta!r}")
-        lines.append("dev " + " ".join(repr(float(d)) for d in st.dev))
-        tri = []
-        n = len(st.dev)
-        for i in range(n):
-            for j in range(i + 1, n):
-                tri.append(repr(float(st.corr_at(i, j))))
-        lines.append("corr " + " ".join(tri))
-    return "\n".join(lines) + "\n"

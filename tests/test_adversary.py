@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from bftsim.adversary import STRATEGIES, SIMPLE_ADVERSARIES, make_strategy
+from bftsim.adversary import STRATEGIES, SIMPLE_ADVERSARIES, Strategy, make_strategy
+from bftsim.broadcast import INIT
 from bftsim.game import GameConfig, run_game
-from bftsim.harness import make_config, run_bracha_once
+from bftsim.harness import make_config, run_bracha_once, run_experiment
 from bftsim.params import ProtocolParams, sgn
 
 
@@ -106,3 +107,51 @@ def test_corrupting_run_is_freed_without_the_collector(adversary):
     rec = run_bracha_once(cfg, 7)
     assert len(rec["corrupted"]) == 3
     assert gc.collect() == 0
+
+
+class _JunkSender(Strategy):
+    """Corrupts process 0 before anything runs; it opens one reliable
+    broadcast of the payload in ``opts["payload"]`` and then stays silent."""
+
+    name = "junk-sender"
+
+    def setup(self, world):
+        super().setup(world)
+        self._to_corrupt = [0]
+        self._sent = False
+
+    def _corruption_due(self, view):
+        return self._to_corrupt.pop() if self._to_corrupt else None
+
+    def corrupted_compute(self, world, pid, inbox):
+        if self._sent:
+            return []
+        self._sent = True
+        wire = (INIT, pid, 1, self.opts["payload"])
+        return [(dst, wire) for dst in range(world.params.n) if dst != pid]
+
+
+_JUNK_MODES = {
+    "bracha-local": dict(mode="bracha", coin="local", m=4, T=16),
+    "bracha-blackboard": dict(mode="bracha", coin="blackboard", m=2, T=4, max_iterations=10),
+    "blackboard": dict(mode="blackboard", m=2, T=4, boards=2),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_JUNK_MODES))
+@pytest.mark.parametrize("payload", [
+    ("write", 1), ("ack",), ("last", 1), ("vote", 1), ("vote", "a", "b", 1),
+    ("write", "1", 0, ("dummy",)), ("ack", 1, 1, None), ["vote", 1, 1, 1], (), 7,
+], ids=repr)
+def test_malformed_payload_does_not_crash_a_run(monkeypatch, mode, payload):
+    # a corrupted sender may broadcast anything; the good processes reject
+    # what has the wrong tag, arity or field types, and still finish safely
+    monkeypatch.setitem(STRATEGIES, _JunkSender.name, _JunkSender)
+    cfg = make_config(n=5, f=1, adversary=_JunkSender.name, adversary_args={"payload": payload},
+                      inputs="mixed", seeds=[3], **_JUNK_MODES[mode])
+    rec = run_experiment(cfg)[0]
+    assert rec["violations"] == []
+    if cfg.mode == "bracha":
+        assert rec["corrupted"] == [0] and rec["decided"]
+    else:
+        assert rec["finalizers"] >= cfg.n - cfg.f

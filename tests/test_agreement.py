@@ -1,10 +1,13 @@
 import itertools
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftsim.agreement import (
     BrachaProcess,
     DecisionRecord,
+    WeightBook,
     check_agreement,
     coin_flip,
     epoch_advance,
@@ -262,6 +265,97 @@ def test_weightbook_consensus_identical_across_processes():
     assert rows[0] == [1.0] * 4  # honest epoch: no weight loss
 
 
+def _synthetic_board(seed, n=9, m=8, T=16, epochs=3, f=2):
+    """Seeded cells for boards 1..epochs*T+1: f colluding columns that copy
+    one biased leader on most boards, good columns of fair flips (some
+    partial), and row-0 disclosures at each epoch boundary that lag, are
+    missing or are malformed.  Returns (cells, bad, disclosed bars,
+    coin-time bars)."""
+    import random
+
+    rng = random.Random(f"weight-path/{seed}")
+    bad = sorted(rng.sample(range(n), f))
+    bias, copy = rng.uniform(0.5, 0.9), rng.uniform(0.85, 1.0)
+    cells, length = {}, {}
+    last_t = epochs * T + 1
+    for t in range(1, last_t + 1):
+        lead = [1 if rng.random() < bias else -1 for _ in range(m)]
+        for i in range(n):
+            if i in bad and rng.random() < copy:
+                col, size = lead, m
+            elif i in bad:
+                col, size = [rng.choice((-1, 1)) for _ in range(m)], m
+            else:
+                col = [rng.choice((-1, 1)) for _ in range(m)]
+                size = m if rng.random() < 0.8 else rng.randint(0, m - 1)
+            for r in range(1, size + 1):
+                cells[(t, r, i)] = col[r - 1]
+            length[(t, i)] = size
+
+    def bar(t):
+        out = []
+        for j in range(n):
+            size, roll = length[(t, j)], rng.random()
+            if roll < 0.1 and t > 1:
+                out.append((t - 1, m))  # the whole board t is missed
+            elif roll < 0.3 and size > 0:
+                out.append((t, size - 1))  # the final write is missed
+            else:
+                out.append((t, size))
+        return tuple(out)
+
+    disclosed = {}
+    for k in range(1, epochs + 1):
+        t = k * T + 1
+        for q in range(n):
+            roll = rng.random()
+            if roll < 0.15:
+                continue  # q never disclosed at this boundary
+            if roll < 0.2:
+                cells[(t, 0, q)] = [[t - 1, m]] * (n - 1)  # wrong length: implausible
+                continue
+            vec = bar(t - 1)
+            disclosed[(k, q)] = vec
+            cells[(t, 0, q)] = [list(p) for p in vec] if roll < 0.5 else vec
+    coin_bars = {t: bar(t) for t in range(1, last_t + 1)}
+    return cells, bad, disclosed, coin_bars
+
+
+def _weight_path_record(seed):
+    from bftsim.blackboard import BlackboardNode
+
+    p = ProtocolParams(n=9, f=2, eps=0.5, m=8, T=16, c=1)
+    cells, bad, disclosed, coin_bars = _synthetic_board(seed, p.n, p.m, p.T)
+    node = BlackboardNode(0, p, lambda t, r: 1, lambda payload: None)
+    node.cells = cells
+    book = WeightBook(p, node)
+    weights = [[book.weight_of(i, k) for i in range(p.n)] for k in range(4)]
+    viewers = [(k, q, book.viewer_weights(vec, k)) for (k, q), vec in sorted(disclosed.items())]
+    coins = []
+    for t, lastbar in coin_bars.items():
+        view = FinalView(t, lastbar, cells, p.n, p.m)
+        k = book.epoch_of_board(t)
+        coins.append(coin_flip(view, [book.weight_of(i, k) for i in range(p.n)], p))
+    return bad, weights, viewers, coins
+
+
+# computed before the column-sum, correlation-matrix and consensus-weight merges
+WEIGHT_PATH_DIGEST = "55dce60e96fcc56e6cf7201b180af11ede5f53cd527d87a4fd9a3894c7f66826"
+
+
+def test_golden_weight_path_digest():
+    """Pins the reconstructive weight path with f > 0: WeightBook.weight_of
+    for k = 0..3, viewer_weights on every disclosed bar and coin_flip over
+    lagging views, on seeded synthetic boards (n=9, f=2, m=8, T=16, c=1)."""
+    import hashlib
+
+    records = [_weight_path_record(seed) for seed in range(24)]
+    lowered = sum(any(w < 1.0 for w in rec[1][-1]) for rec in records)
+    assert lowered >= 18, lowered  # the colluders lose weight in most seeds
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == WEIGHT_PATH_DIGEST
+
+
 # -- verdicts -------------------------------------------------------------------
 
 
@@ -301,7 +395,7 @@ def test_check_agreement_nontermination_not_safety():
 def test_epoch_advance_identity_under_thresholds():
     p = ProtocolParams(n=4, f=1, m=4, T=16, c=4)
     w = [1.0, 0.9, 1.0, 0.2]
-    new, matching, deps = epoch_advance(w, [0.0] * 4, {}, p)
+    new, matching, deps = epoch_advance(w, [0.0] * 4, np.zeros((4, 4)), p)
     assert new == w
     assert not matching.mu
 

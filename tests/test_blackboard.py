@@ -127,6 +127,11 @@ def test_gate_rejects_malformed_payloads():
     assert not h.board.gate(1, ("ack", 1, 1, 2))  # cell not accepted yet
     assert h.board.gate(1, ("write", 1, 0, DUMMY))
     assert h.board.gate(1, ("vote", 1, 1, 1))
+    for s in range(3):
+        h.board.on_accept(s, ("ack", 1, 0, 1))  # n-f acks for process 1's row-0 write
+    assert h.board.gate(1, ("write", 1, 1, -1))
+    assert not h.board.gate(1, ("write", 1, 1, "x"))  # coin writes carry +-1 only
+    assert not h.board.gate(1, ("write", 1, 1, 2))
 
 
 def test_never_sentinel_orders_below_real_positions():
@@ -152,7 +157,7 @@ def test_no_ack_after_complete():
                 node.on_accept(q, ("write", 1, r, 1 if r else DUMMY))
             for s in range(3):
                 node.on_accept(s, ("ack", 1, r, q))
-    assert node.check_complete(1)
+    assert 1 in node.complete
     sent.clear()
     node.on_accept(3, ("write", 2, 0, tuple(node.last)))  # wrong vector shape is fine here
     node.on_accept(2, ("write", 1, params.m, 2))  # late accept for a complete board
@@ -182,7 +187,7 @@ def test_write_suppressed_once_complete():
             node.on_accept(q, ("write", 1, r, 1 if r else DUMMY))
             for s in range(1, 4):
                 node.on_accept(s, ("ack", 1, r, q))
-    assert node.check_complete(1)
+    assert 1 in node.complete
     sent.clear()
     for s in range(4):
         node.on_accept(s, ("ack", 1, 0, 0))  # acks for our row-0 write arrive late

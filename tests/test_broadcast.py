@@ -10,9 +10,6 @@ from bftsim.broadcast import (
     RBInstance,
     RBNode,
     ValidationLedger,
-    encode_wire,
-    rb_handle,
-    validate,
 )
 from bftsim.harness import run_broadcast_fuzz_once, ExperimentConfig
 from bftsim.params import ProtocolParams
@@ -35,11 +32,11 @@ def test_thresholds_n4_f1():
 def test_accept_fires_at_exactly_2f_plus_1_readies():
     node = _node()
     inst = RBInstance(origin=1, seq=1)
-    assert rb_handle(inst, (1, READY, "m"), node) is None
+    assert inst.process(1, READY, "m", node) is None
     assert len(inst.ready[0]) == 1  # below f+1: no reaction yet
     # a second ready reaches f+1 = 2, the node sends its own ready, and the
     # self-count makes 2f+1 = 3 distinct senders: accept fires
-    assert rb_handle(inst, (2, READY, "m"), node) == "m"
+    assert inst.process(2, READY, "m", node) == "m"
     assert inst.ready[0] == {0, 1, 2}
     assert inst.accepted == "m"
 
@@ -47,28 +44,28 @@ def test_accept_fires_at_exactly_2f_plus_1_readies():
 def test_duplicate_messages_idempotent():
     node = _node()
     inst = RBInstance(origin=1, seq=1)
-    rb_handle(inst, (2, ECHO, "m"), node)
-    rb_handle(inst, (2, ECHO, "m"), node)
+    inst.process(2, ECHO, "m", node)
+    inst.process(2, ECHO, "m", node)
     assert len(inst.echo[0]) == 1
 
 
 def test_equivocating_sender_banned_and_recorded():
     node = _node()
     inst = RBInstance(origin=1, seq=1)
-    rb_handle(inst, (2, ECHO, "a"), node)
-    rb_handle(inst, (2, ECHO, "b"), node)
+    inst.process(2, ECHO, "a", node)
+    inst.process(2, ECHO, "b", node)
     assert len(node.equivocations) == 1
     assert 2 in inst.banned
-    rb_handle(inst, (2, READY, "a"), node)  # ignored thereafter
+    inst.process(2, READY, "a", node)  # ignored thereafter
     assert not inst.ready[0]
 
 
 def test_init_only_counts_from_origin():
     node = _node()
     inst = RBInstance(origin=1, seq=1)
-    rb_handle(inst, (3, INIT, "m"), node)
+    inst.process(3, INIT, "m", node)
     assert inst.init_idx is None
-    rb_handle(inst, (1, INIT, "m"), node)
+    inst.process(1, INIT, "m", node)
     assert inst.init_idx == 0
     assert inst.sent_echo  # init from origin triggers echo
 
@@ -108,7 +105,7 @@ def test_good_origin_all_accept():
     nodes[2].broadcast(("v", 7))
     _full_rb_round(nodes, [[(2, m) for m in nodes[2].take_wire()]])
     for node in nodes:
-        assert node.accepted_payload(2, 1) == ("v", 7)
+        assert node.accepted_log == [(2, 1, ("v", 7))]
 
 
 def test_fifo_gate_defers_future_sequences():
@@ -121,11 +118,11 @@ def test_fifo_gate_defers_future_sequences():
     for node in nodes[1:]:
         node.handle(0, INIT, 0, 2, ("m", 2))
         node.pump()
-        assert node.accepted_payload(0, 2) is None
+        assert node.accepted_log == []
         assert not node.take_wire()  # no reaction to the future message
     _full_rb_round(nodes, [first])
     for node in nodes[1:]:
-        assert node.has_accepted(0, 1)
+        assert node.accepted_log[:1] == [(0, 1, ("m", 1))]
 
 
 def test_participation_gate_delays_reactions():
@@ -163,7 +160,7 @@ def test_open_gate_consulted_once_per_payload():
     ]
     nodes[1].broadcast(("w", 1))
     _full_rb_round(nodes, [[(1, m) for m in nodes[1].take_wire()]])
-    assert all(node.accepted_payload(1, 1) == ("w", 1) for node in nodes)
+    assert all(node.accepted_log == [(1, 1, ("w", 1))] for node in nodes)
     # every node saw an init, echoes and readies, but asked the gate once
     assert sorted(calls) == [(i, 1, 1, ("w", 1)) for i in range(4)]
 
@@ -182,15 +179,6 @@ def test_criterion1_style_fuzz_small():
     for seed in range(30):
         rec = run_broadcast_fuzz_once(cfg, seed)
         assert rec["violations"] == []
-
-
-def test_encode_wire_roundtrip_fields():
-    blob = encode_wire(INIT, 3, 9, ("x", 1))
-    assert blob[0] == INIT
-    assert int.from_bytes(blob[1:3], "big") == 3
-    assert int.from_bytes(blob[3:7], "big") == 9
-    body_len = int.from_bytes(blob[7:11], "big")
-    assert len(blob) == 11 + body_len
 
 
 # -- validation ledger --------------------------------------------------------
@@ -217,11 +205,13 @@ def _sign_justify(n, f):
 
 def test_validate_base_case_and_pending():
     ledger = ValidationLedger(4, 1, _sign_justify(4, 1))
-    assert validate(ledger, 0, 1, 1)
-    assert not validate(ledger, 0, 2, 1)  # needs 3 validated round-1 votes
-    validate(ledger, 1, 1, 1)
+    ledger.add_claim(0, 1, 1)
+    assert (0, 1) in ledger.validated
+    ledger.add_claim(0, 2, 1)
+    assert (0, 2) not in ledger.validated  # needs 3 validated round-1 votes
+    ledger.add_claim(1, 1, 1)
     assert (0, 2) not in ledger.validated
-    validate(ledger, 2, 1, -1)
+    ledger.add_claim(2, 1, -1)
     # cascade: the pending round-2 claim re-checks once round 1 fills in
     assert (0, 2) in ledger.validated
 
@@ -229,9 +219,11 @@ def test_validate_base_case_and_pending():
 def test_validate_rejects_unjustifiable_sign():
     ledger = ValidationLedger(4, 1, _sign_justify(4, 1))
     for q in range(4):
-        validate(ledger, q, 1, 1)
-    assert not validate(ledger, 3, 2, -1)  # all-ones pool cannot justify -1
-    assert validate(ledger, 2, 2, 1)
+        ledger.add_claim(q, 1, 1)
+    ledger.add_claim(3, 2, -1)
+    assert (3, 2) not in ledger.validated  # all-ones pool cannot justify -1
+    ledger.add_claim(2, 2, 1)
+    assert (2, 2) in ledger.validated
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,8 +249,9 @@ def test_validation_witness_replay():
     # the transition function (here: sgn of the subset sum)
     ledger = ValidationLedger(4, 1, _sign_justify(4, 1))
     for q, v in enumerate([1, 1, -1, 1]):
-        validate(ledger, q, 1, v)
-    assert validate(ledger, 0, 2, 1)
+        ledger.add_claim(q, 1, v)
+    ledger.add_claim(0, 2, 1)
+    assert (0, 2) in ledger.validated
     pool = [v for (q, r), v in ledger.validated.items() if r == 1]
     assert sgn_subset_reachable(pool, 3, 1)
 

@@ -13,7 +13,6 @@ from bftsim.harness import (
     parse_metrics,
     parse_seed_spec,
     run_experiment,
-    safety_ok,
     verify_trace,
 )
 from bftsim.params import ConfigInvalid
@@ -35,6 +34,31 @@ def test_config_validation():
         make_config(mode="bracha", unknown_key=1)
     cfg = make_config(mode="bracha", n="9", f="2", seeds="0:3", T="16", m="4")
     assert cfg.n == 9 and cfg.seeds == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", [
+    dict(inputs="zzz"), dict(inputs="unanimous"), dict(coin="shared"), dict(stop="bogus"),
+    dict(stop="boards:two"), dict(stop="max-events"), dict(adversary="nonsense"),
+    dict(mode="game", adversary="fuzz"), dict(mode="simplified-game", f=0, adversary="colluding"),
+    dict(mode="game", epochs=0), dict(mode="blackboard", boards=0),
+], ids=repr)
+def test_config_rejects_unknown_names_and_empty_runs(bad):
+    # caught when the config is made, not as a KeyError or IndexError mid-run
+    with pytest.raises(ConfigInvalid):
+        make_config(**{"mode": "bracha", "n": 9, "f": 2, **bad})
+
+
+def test_config_accepts_every_catalogued_name():
+    from bftsim.harness import COINS, INPUTS, MODES, adversary_catalog
+
+    for mode in MODES:
+        for name in adversary_catalog(mode):
+            make_config(mode=mode, n=9, f=2, adversary=name)
+    for coin in COINS:
+        for inputs in INPUTS:
+            make_config(mode="bracha", n=9, f=2, coin=coin, inputs=inputs)
+    for stop in ("decided-all", "max-events:10", "epoch-limit:2", "boards:3"):
+        make_config(mode="bracha", stop=stop)
 
 
 def test_config_file_overrides(tmp_path):
@@ -59,7 +83,7 @@ def test_run_experiment_deterministic_metrics(tmp_path):
     header, records = parse_metrics(paths[0])
     assert header["schema"] == "bftsim-metrics-1"
     assert [r["seed"] for r in records] == [0, 1, 2]
-    assert safety_ok(records)
+    assert all(not r["violations"] for r in records)
 
 
 def test_metrics_roundtrip_exact(tmp_path):
@@ -179,10 +203,10 @@ def test_cli_sweep(tmp_path):
     assert res.returncode == 0, res.stderr
     header, records = parse_metrics(out)
     assert len(records) == 4  # 2 n-values x 2 seeds
-    assert {r["n"] for r in records} == {"5", "6"}
+    assert {r["n"] for r in records} == {5, 6}
     assert out.read_text().splitlines()[0] == json.dumps(header, separators=(",", ":"))
     assert header == {"schema": "bftsim-metrics-1", "rec": "header", "mode": "bracha", "f": 1,
-                      "adversary": "honest-random", "seeds": [0, 1], "grid": {"n": ["5", "6"]}}
+                      "adversary": "honest-random", "seeds": [0, 1], "grid": {"n": [5, 6]}}
 
 
 def _fresh_stop(mode, params, handlers, w, strategy, max_iterations):

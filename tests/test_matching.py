@@ -155,7 +155,7 @@ def test_excess_graph_within_thresholds_is_empty():
     p = ProtocolParams(n=4, f=1, m=4, T=16, c=4)
     w = [1.0, 0.8, 0.5, 1.0]
     dev = [0.0] * 4
-    corr = {}
+    corr = np.zeros((4, 4))
     g = build_excess_graph(w, dev, corr, p)
     assert g.c_e == {}
     assert g.c_v == w
@@ -166,13 +166,15 @@ def test_excess_graph_exact_unit_capacity():
     w = [1.0] * 4
     dev = [0.0] * 4
     dev[2] = p.alpha_T + p.eps * p.f * p.alpha_T / 16  # excess of eps*f*alpha/16
-    g = build_excess_graph(w, dev, {}, p)
+    g = build_excess_graph(w, dev, np.zeros((4, 4)), p)
     assert g.edge_cap(2, 2) == pytest.approx(1.0)
 
 
 def test_excess_graph_negative_excess_clamped_to_zero():
     p = ProtocolParams(n=3, f=0, m=4, T=16)
-    g = build_excess_graph([1.0] * 3, [0.0] * 3, {(0, 1): -5.0}, p)
+    corr = np.zeros((3, 3))
+    corr[0, 1] = corr[1, 0] = -5.0
+    g = build_excess_graph([1.0] * 3, [0.0] * 3, corr, p)
     assert g.edge_cap(0, 1) == 0
 
 

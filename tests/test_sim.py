@@ -7,11 +7,10 @@ from bftsim.sim import (
     COMPUTE,
     CORRUPT,
     DELIVER,
+    AdversaryView,
     FairnessViolation,
     InapplicableEvent,
     WorldState,
-    apply_event,
-    full_snapshot,
     run,
 )
 
@@ -66,35 +65,35 @@ def _world(n=3, f=0, **kw):
 def test_deliver_requires_nonempty_buffer():
     world, _ = _world()
     with pytest.raises(InapplicableEvent):
-        apply_event(world, (DELIVER, 0, 1))
+        world.apply((DELIVER, 0, 1))
 
 
 def test_compute_with_empty_buffers_only_advances_clock():
     world, handlers = _world()
-    apply_event(world, (COMPUTE, 0))  # emits greetings, but consumed nothing
+    world.apply((COMPUTE, 0))  # emits greetings, but consumed nothing
     assert world.clock == 1
     assert handlers[0].heard == []
-    apply_event(world, (COMPUTE, 0))
+    world.apply((COMPUTE, 0))
     assert handlers[0].heard == []
     assert world.clock == 2
 
 
 def test_message_visible_exactly_once():
     world, handlers = _world()
-    apply_event(world, (COMPUTE, 0))  # 0 sends hello to 1 and 2
-    apply_event(world, (DELIVER, 0, 1))
-    apply_event(world, (COMPUTE, 1))
+    world.apply((COMPUTE, 0))  # 0 sends hello to 1 and 2
+    world.apply((DELIVER, 0, 1))
+    world.apply((COMPUTE, 1))
     assert handlers[1].heard == [(0, ("hello", 0))]
-    apply_event(world, (COMPUTE, 1))
+    world.apply((COMPUTE, 1))
     assert handlers[1].heard == [(0, ("hello", 0))]  # not redelivered
 
 
 def test_corrupt_respects_budget():
     world, _ = _world(n=4, f=1)
-    apply_event(world, (CORRUPT, 2))
+    world.apply((CORRUPT, 2))
     assert world.corrupted == {2}
     with pytest.raises(InapplicableEvent):
-        apply_event(world, (CORRUPT, 3))
+        world.apply((CORRUPT, 3))
 
 
 def test_no_forgery_in_trace():
@@ -130,23 +129,23 @@ def test_snapshot_does_not_predetermine_future_flips():
     params = ProtocolParams(n=2, f=0, m=4, T=16)
     handlers = [Roller(i, random.Random(f"7/proc/{i}")) for i in range(2)]
     world = WorldState(params, handlers)
-    apply_event(world, (COMPUTE, 0))
+    world.apply((COMPUTE, 0))
     fork_a = copy.deepcopy(world)
     fork_b = copy.deepcopy(world)
     for _ in range(3):
-        apply_event(fork_a, (COMPUTE, 0))
-    apply_event(fork_b, (COMPUTE, 1))  # interleave differently
+        fork_a.apply((COMPUTE, 0))
+    fork_b.apply((COMPUTE, 1))  # interleave differently
     for _ in range(3):
-        apply_event(fork_b, (COMPUTE, 0))
+        fork_b.apply((COMPUTE, 0))
     assert fork_a.handlers[0].rolls == fork_b.handlers[0].rolls[: len(fork_a.handlers[0].rolls)]
 
 
 def test_snapshot_view_fields():
     world, _ = _world()
-    view = full_snapshot(world)
+    view = AdversaryView(world)
     assert view.n == 3
     assert view.corrupted == frozenset()
-    apply_event(world, (COMPUTE, 0))
+    world.apply((COMPUTE, 0))
     assert view.out_queue(0, 1) == (("hello", 0),)
 
 
@@ -167,17 +166,17 @@ def test_fairness_violation_detected():
     params = ProtocolParams(n=3, f=0, m=4, T=16, fairness_window=25)
     handlers = [Echoer(i, 3) for i in range(3)]
     world = WorldState(params, handlers)
-    apply_event(world, (COMPUTE, 0))
-    apply_event(world, (DELIVER, 0, 1))  # now process 1 has pending work
+    world.apply((COMPUTE, 0))
+    world.apply((DELIVER, 0, 1))  # now process 1 has pending work
     with pytest.raises(FairnessViolation):
         run(world, Starver(), None, max_events=100)
 
 
 def test_chain_depth_grows_with_dependent_messages():
     world, _ = _world()
-    apply_event(world, (COMPUTE, 0))
-    apply_event(world, (DELIVER, 0, 1))
-    apply_event(world, (COMPUTE, 1))  # reply depends on hello
-    apply_event(world, (DELIVER, 1, 0))
-    apply_event(world, (COMPUTE, 0))
+    world.apply((COMPUTE, 0))
+    world.apply((DELIVER, 0, 1))
+    world.apply((COMPUTE, 1))  # reply depends on hello
+    world.apply((DELIVER, 1, 0))
+    world.apply((COMPUTE, 0))
     assert world.chain_depth >= 3

@@ -1,59 +1,40 @@
 import numpy as np
-import pytest
 
 from bftsim.adversary import SimpleColluding, SimpleCounteract, SimpleHonest
-from bftsim.params import ProtocolParams
 from bftsim.stats import (
     SimpleGameConfig,
     compute_stats,
     detect_pair,
-    export_epoch_stats,
     run_simplified_game,
-    thresholds,
 )
 
 
-def _params(**kw):
-    base = dict(n=8, f=2, eps=0.5, m=8, T=256, c=4)
-    base.update(kw)
-    return ProtocolParams(**base)
-
-
-def test_thresholds_match_params():
-    p = _params()
-    a, b = thresholds(p)
-    assert a == p.alpha_T and b == p.beta_T
-
-
 def test_stats_zero_inputs():
-    p = _params(n=3, f=0, m=4, T=4)
-    st = compute_stats([[0, 0, 0]] * 4, [1.0, 1.0, 1.0], p)
-    assert st.dev == [0, 0, 0]
-    assert all(v == 0 for v in st.corr.values())
+    dev, corr = compute_stats([[0, 0, 0]] * 4, [1.0, 1.0, 1.0])
+    assert dev == [0, 0, 0]
+    assert corr.shape == (3, 3) and not corr.any()
 
 
 def test_stats_single_round_formula():
     # T=1, w=0.5 each, X = (2, -2): dev = (1, 1), corr(0,1) = 0.25 * (2 * -2) = -1
-    p = _params(n=2, f=0, m=4, T=1)
-    st = compute_stats([[2, -2]], [0.5, 0.5], p)
-    assert st.dev == [1.0, 1.0]
-    assert st.corr_at(0, 1) == -1.0
+    dev, corr = compute_stats([[2, -2]], [0.5, 0.5])
+    assert dev == [1.0, 1.0]
+    assert corr[0, 1] == -1.0
 
 
 def test_stats_zero_weights_kill_everything():
-    p = _params(n=3, f=0, m=4, T=8)
     xs = np.arange(24).reshape(8, 3) - 11
-    st = compute_stats(xs, [0.0, 0.0, 0.0], p)
-    assert st.dev == [0, 0, 0]
-    assert all(v == 0 for v in st.corr.values())
+    dev, corr = compute_stats(xs, [0.0, 0.0, 0.0])
+    assert dev == [0, 0, 0]
+    assert not corr.any()
 
 
 def test_corr_is_symmetric_accessor():
-    p = _params(n=3, f=0, m=4, T=2)
-    st = compute_stats([[1, -1, 1], [1, 1, -1]], [1, 1, 1], p)
-    assert st.corr_at(2, 0) == st.corr_at(0, 2)
-    with pytest.raises(ValueError):
-        st.corr_at(1, 1)
+    # corr is a symmetric matrix; the diagonal, which dev carries, is zero
+    dev, corr = compute_stats([[1, -1, 1], [1, 1, -1]], [1, 1, 1])
+    assert (corr == corr.T).all()
+    assert corr[2, 1] == corr[1, 2] == -2.0
+    assert not corr.diagonal().any() and dev == [2.0, 2.0, 2.0]
 
 
 def test_simple_game_config_fault_budget():
@@ -140,12 +121,3 @@ def test_counteract_detection_monte_carlo():
         hits += bool(set(pair) & res.bad)
     assert hits / runs >= 0.9
 
-
-def test_export_epoch_stats_format():
-    p = _params(n=3, f=0, m=4, T=2)
-    st = compute_stats([[1, -1, 1], [1, 1, -1]], [1, 1, 1], p)
-    text = export_epoch_stats([st])
-    lines = text.splitlines()
-    assert lines[0].startswith("epoch 1 alpha")
-    assert lines[1].startswith("dev ")
-    assert len(lines[2].split()) == 1 + 3  # "corr" + upper triangle of 3 pairs
