@@ -10,7 +10,6 @@ import random
 import weakref
 
 from .broadcast import INIT, ECHO, READY
-from .sim import COMPUTE, CORRUPT, DELIVER
 
 
 def counteract_bad_values(sigma, good_sum, bad_weights, x_max, m, slack=0.0):
@@ -41,41 +40,34 @@ def counteract_bad_values(sigma, good_sum, bad_weights, x_max, m, slack=0.0):
     return targets
 
 
-def draw_index(getrandbits, size):
-    """Uniform index below ``size`` drawn exactly as ``Random.choice`` draws
-    it (CPython's ``_randbelow_with_getrandbits``): same values, same
-    generator state afterwards, one Python frame instead of two."""
-    k = size.bit_length()
-    r = getrandbits(k)
-    while r >= size:
-        r = getrandbits(k)
-    return r
-
-
 class Strategy:
     """Base scheduling strategy: uniform-ish fair interleaving, no corruption.
 
-    Subclasses restricting the schedule set ``restricted`` and override the
-    ``_allowed_*`` predicates; event choice then rejection-samples with a
-    filtered fallback, keeping the unrestricted path allocation-free.
-    Subclasses that corrupt override ``_corruption_due``; it is consulted
-    before every event only for them.
+    ``sim.run`` picks every event itself and reads a strategy's scheduling
+    restrictions as data.  It refuses a compute at a process in ``blocked``
+    with probability ``block_compute``, and a delivery to one with
+    probability ``block_deliver``; each refusal test draws one
+    ``rng.random()``, except at probability 1.0, which refuses without a
+    draw.  A subclass that defines ``rotate`` has it called before the first
+    event and again each time the number of events it returned has passed;
+    it may replace ``blocked``.  Subclasses that corrupt override
+    ``_corruption_due``; it is consulted before every event only for them.
     """
 
     name = "honest-random"
-    restricted = False
+    blocked = frozenset()
+    block_compute = block_deliver = 1.0
+    rotate = None
 
     def __init__(self, seed=0, **opts):
         self.seed = seed
         self.opts = opts
         self.rng = random.Random(f"{seed}/adv/{self.name}")
         self.world = None
-        self._maybe_unstarted = True
         self._corrupts = type(self)._corruption_due is not Strategy._corruption_due
 
     def setup(self, world):
         self.world = world
-        self._maybe_unstarted = True
 
     def on_corrupt(self, world, pid):
         pass
@@ -83,75 +75,7 @@ class Strategy:
     def corrupted_compute(self, world, pid, inbox):
         return []
 
-    # scheduling -----------------------------------------------------------
-
-    def _allowed_compute(self, view, pid) -> bool:
-        return True
-
-    def _allowed_deliver(self, view, src, dst) -> bool:
-        return True
-
     def _corruption_due(self, view):
-        return None
-
-    def _pick_deliver(self, view, outs):
-        getrandbits = self.rng.getrandbits
-        if not self.restricted:
-            return outs[draw_index(getrandbits, len(outs))]
-        allowed = self._allowed_deliver
-        for _ in range(6):
-            cand = outs[draw_index(getrandbits, len(outs))]
-            if allowed(view, cand[0], cand[1]):
-                return cand
-        legal = [e for e in outs if allowed(view, e[0], e[1])]
-        return legal[draw_index(getrandbits, len(legal))] if legal else None
-
-    def _pick_compute(self, view, ins):
-        getrandbits = self.rng.getrandbits
-        if not self.restricted:
-            return ins[draw_index(getrandbits, len(ins))]
-        allowed = self._allowed_compute
-        for _ in range(6):
-            cand = ins[draw_index(getrandbits, len(ins))]
-            if allowed(view, cand):
-                return cand
-        legal = [i for i in ins if allowed(view, i)]
-        return legal[draw_index(getrandbits, len(legal))] if legal else None
-
-    def next_event(self, view):
-        if self._corrupts:
-            pid = self._corruption_due(view)
-            if pid is not None:
-                return (CORRUPT, pid)
-        world = self.world
-        unstarted = ()
-        if self._maybe_unstarted:
-            unstarted = [
-                i
-                for i in range(world.params.n)
-                if not world.started[i] and self._allowed_compute(view, i)
-            ]
-            if not unstarted and all(world.started):
-                self._maybe_unstarted = False
-        outs = world._out_list
-        ins = world._in_list
-        roll = self.rng.random()
-        if unstarted and (roll < 0.25 or not (outs or ins)):
-            return (COMPUTE, self.rng.choice(unstarted))
-        if outs and (roll < 0.7 or not ins):
-            e = self._pick_deliver(view, outs)
-            if e is not None:
-                return (DELIVER, e[0], e[1])
-        if ins:
-            i = self._pick_compute(view, ins)
-            if i is not None:
-                return (COMPUTE, i)
-        if outs:
-            e = self._pick_deliver(view, outs)
-            if e is not None:
-                return (DELIVER, e[0], e[1])
-        if unstarted:
-            return (COMPUTE, self.rng.choice(unstarted))
         return None
 
 
@@ -164,31 +88,17 @@ class FuzzSchedule(Strategy):
     temporary starvation of up to f processes."""
 
     name = "fuzz"
-    restricted = True
+    block_compute, block_deliver = 0.95, 0.9
 
-    def __init__(self, seed=0, **opts):
-        super().__init__(seed, **opts)
-        self.slowed = frozenset()
-        self._ttl = 0
+    @property
+    def slowed(self):
+        return self.blocked
 
-    def next_event(self, view):
-        if self._ttl <= 0:
-            params = self.world.params
-            count = self.rng.randint(0, params.f)
-            self.slowed = frozenset(self.rng.sample(range(params.n), count))
-            self._ttl = self.rng.randint(50, 400)
-        self._ttl -= 1
-        return Strategy.next_event(self, view)
-
-    def _allowed_compute(self, view, pid):
-        if pid in self.slowed and self.rng.random() < 0.95:
-            return False
-        return True
-
-    def _allowed_deliver(self, view, src, dst):
-        if dst in self.slowed and self.rng.random() < 0.9:
-            return False
-        return True
+    def rotate(self):
+        params = self.world.params
+        count = self.rng.randint(0, params.f)
+        self.blocked = frozenset(self.rng.sample(range(params.n), count))
+        return self.rng.randint(50, 400)
 
 
 class CrashStop(Strategy):
@@ -218,18 +128,15 @@ class StarveSubset(Strategy):
     """Never schedules a fixed set of up to f good processes; corrupts no one."""
 
     name = "starve-subset"
-    restricted = True
+
+    @property
+    def starved(self):
+        return self.blocked
 
     def setup(self, world):
         super().setup(world)
         count = int(self.opts.get("count", world.params.f))
-        self.starved = frozenset(self.rng.sample(range(world.params.n), count))
-
-    def _allowed_compute(self, view, pid):
-        return pid not in self.starved
-
-    def _allowed_deliver(self, view, src, dst):
-        return dst not in self.starved
+        self.blocked = frozenset(self.rng.sample(range(world.params.n), count))
 
 
 class _ProtocolCompliantCorruption(Strategy):

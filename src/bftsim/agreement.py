@@ -167,6 +167,7 @@ class _ProtocolProcess:
         self.rng = random.Random(f"{seed}/proc/{pid}")
         self.coin_source = coin_source  # None: a fair coin from self.rng
         self.rb = RBNode(pid, params, gate=_weak(self._gate), on_accept=_weak(self._on_accept))
+        self.admits = self.rb.admits  # the wire format the world screens corrupted sends with
         self.board = BlackboardNode(
             pid, params, _weak(self._coin_value), self.rb.broadcast,
             on_final=_weak(self._board_final),

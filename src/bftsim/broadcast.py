@@ -37,20 +37,26 @@ class EquivocationRecord:
 
 
 class RBInstance:
-    """State for one (origin, seq) broadcast at one process."""
+    """State for one (origin, seq) broadcast at one process.
+
+    ``tally`` holds four entries per distinct payload, in arrival order: the
+    payload, then a mask of its senders for each message kind (INIT, ECHO,
+    READY), bit i for process i.  A mask is its distinct-sender count, and a
+    sender's bit under another payload of the same kind is an equivocation.
+    The process sets its own bit in the ECHO and READY masks when it sends
+    them.  Ints in one list leave each instance two objects for the garbage
+    collector to track, where per-payload sets and lists left it six.
+    """
 
     __slots__ = (
         "origin",
         "seq",
-        "payloads",
-        "echo",
-        "ready",
+        "tally",
         "init_idx",
         "sent_echo",
         "sent_ready",
         "accepted",
         "pending",
-        "seen",
         "banned",
         "opened",
     )
@@ -58,86 +64,16 @@ class RBInstance:
     def __init__(self, origin, seq):
         self.origin = origin
         self.seq = seq
-        self.payloads = []
-        self.echo = []
-        self.ready = []
-        self.init_idx = None
+        self.tally = []
+        self.init_idx = None  # tally index of the payload the origin's INIT carried
         self.sent_echo = False
         self.sent_ready = False
         self.accepted = None
         # pending and banned stay shared empty immutables until first used:
-        # most instances never need them, and every container an instance
-        # allocates is one more object for the garbage collector to track
+        # most instances never need them
         self.pending = ()  # gated (src, kind, payload); a list once one arrives
-        self.seen = {}  # (sender, kind) -> payload index
         self.banned = _NOBODY  # equivocating senders; a set once one is found
         self.opened = _CLOSED  # a payload whose participation gate has opened
-
-    def _index(self, payload):
-        for k, p in enumerate(self.payloads):
-            if p == payload:
-                return k
-        self.payloads.append(payload)
-        self.echo.append(set())
-        self.ready.append(set())
-        return len(self.payloads) - 1
-
-    def process(self, src, kind, payload, node):
-        """Count one message and fire any triggers.  Returns the payload if
-        this message caused acceptance."""
-        if src in self.banned:
-            return None
-        idx = self._index(payload)
-        key = (src, kind)
-        key = node.seen_keys.setdefault(key, key)  # one shared key tuple per (sender, kind)
-        prev = self.seen.get(key)
-        if prev is None:
-            self.seen[key] = idx
-        elif prev != idx:
-            node.equivocations.append(
-                EquivocationRecord(
-                    self.origin, self.seq, src, kind, (self.payloads[prev], payload)
-                )
-            )
-            self.banned = self.banned | {src}
-            return None
-        else:
-            return None  # duplicate, idempotent
-
-        echo = self.echo[idx]
-        ready = self.ready[idx]
-        if kind == INIT:
-            if src != self.origin:
-                return None
-            self.init_idx = idx
-        elif kind == ECHO:
-            echo.add(src)
-        elif kind == READY:
-            ready.add(src)
-
-        # Only payload idx's counts changed since the instance was last at a
-        # fixpoint, so one pass over its triggers, in the order echo, ready,
-        # accept, reaches the fixpoint again: each trigger only adds to the
-        # counts the later ones read, and any condition that fires ready also
-        # fires echo.
-        if not self.sent_echo and (
-            self.init_idx == idx
-            or len(echo) >= node.echo_quorum
-            or len(ready) >= node.ready_support
-        ):
-            self.sent_echo = True
-            echo.add(node.pid)
-            node.emit(ECHO, self.origin, self.seq, self.payloads[idx])
-        if not self.sent_ready and (
-            len(echo) >= node.echo_quorum or len(ready) >= node.ready_support
-        ):
-            self.sent_ready = True
-            ready.add(node.pid)
-            node.emit(READY, self.origin, self.seq, self.payloads[idx])
-        if self.accepted is None and len(ready) >= node.accept_quorum:
-            self.accepted = self.payloads[idx]
-            return self.accepted
-        return None
 
 
 class RBNode:
@@ -160,10 +96,6 @@ class RBNode:
         self.gate = gate
         self.on_accept = on_accept
         self.instances = {}
-        # one shared (sender, kind) tuple per key of every RBInstance.seen; a
-        # fresh key per message left ~10 tuples per instance for the garbage
-        # collector to track
-        self.seen_keys = {}
         self.next_seq = [1] * params.n
         self.future = {}
         self.outbox = deque()
@@ -176,9 +108,6 @@ class RBNode:
         self._gated = []  # instance keys with pending gated messages
 
     # -- sending -------------------------------------------------------------
-
-    def emit(self, kind, origin, seq, payload):
-        self.out_wire.append((kind, origin, seq, payload))
 
     def broadcast(self, payload):
         """Queue the next own broadcast; sequences are serialized on local
@@ -197,7 +126,7 @@ class RBNode:
         seq = self.my_next
         self.my_next += 1
         self.own_inflight = True
-        self.emit(INIT, self.pid, seq, payload)
+        self.out_wire.append((INIT, self.pid, seq, payload))
         self.handle(self.pid, INIT, self.pid, seq, payload)
 
     def _pump_own(self):
@@ -207,17 +136,19 @@ class RBNode:
     # -- receiving -----------------------------------------------------------
 
     def handle(self, src, kind, origin, seq, payload):
+        """Take one wire message: the FIFO gate, the participation gate, then
+        the distinct-sender count and the triggers it fires."""
         expect = self.next_seq[origin]
-        if seq < expect:
-            return
-        if seq > expect:
-            self.future.setdefault((origin, seq), []).append((src, kind, payload))
+        if seq != expect:
+            if seq > expect:
+                self.future.setdefault((origin, seq), []).append((src, kind, payload))
             return
         key = (origin, seq)
         inst = self.instances.get(key)
         if inst is None:
             inst = self.instances[key] = RBInstance(origin, seq)
-        if self.gate is not None and payload != inst.opened:
+        opened = inst.opened
+        if self.gate is not None and payload is not opened and payload != opened:
             if not self.gate(origin, seq, payload):
                 if not inst.pending:
                     self._gated.append(key)
@@ -225,9 +156,79 @@ class RBNode:
                 inst.pending.append((src, kind, payload))
                 return
             inst.opened = payload
-        accepted = inst.process(src, kind, payload, self)
-        if accepted is not None:
-            self.accept_queue.append((origin, seq, accepted))
+        if src in inst.banned:
+            return
+
+        tally = inst.tally
+        size = len(tally)
+        idx = 0
+        while idx < size and tally[idx] is not payload and tally[idx] != payload:
+            idx += 4
+        if idx == size:
+            tally += (payload, 0, 0, 0)
+        bit = 1 << src
+        slot = idx + 1 + kind
+        mask = tally[slot]
+        if mask & bit:
+            return  # duplicate, idempotent
+        if len(tally) > 4:  # several payloads: did this sender send this kind for another?
+            for other in range(1 + kind, len(tally), 4):
+                if tally[other] & bit:
+                    self.equivocations.append(
+                        EquivocationRecord(origin, seq, src, kind, (tally[other - 1 - kind], payload))
+                    )
+                    inst.banned = inst.banned | {src}
+                    return
+        tally[slot] = mask | bit
+        if kind == INIT:
+            if src != origin:
+                return
+            inst.init_idx = idx
+
+        # Only payload idx's counts changed since the instance was last at a
+        # fixpoint, so one pass over its triggers, in the order echo, ready,
+        # accept, reaches the fixpoint again: each trigger only adds to the
+        # counts the later ones read, and any condition that fires ready also
+        # fires echo.
+        echo, ready = tally[idx + 1 + ECHO], tally[idx + 1 + READY]
+        if not inst.sent_echo and (
+            inst.init_idx == idx
+            or echo.bit_count() >= self.echo_quorum
+            or ready.bit_count() >= self.ready_support
+        ):
+            inst.sent_echo = True
+            echo |= 1 << self.pid
+            tally[idx + 1 + ECHO] = echo
+            self.out_wire.append((ECHO, origin, seq, tally[idx]))
+        if not inst.sent_ready and (
+            echo.bit_count() >= self.echo_quorum or ready.bit_count() >= self.ready_support
+        ):
+            inst.sent_ready = True
+            ready |= 1 << self.pid
+            tally[idx + 1 + READY] = ready
+            self.out_wire.append((READY, origin, seq, tally[idx]))
+        if inst.accepted is None and ready.bit_count() >= self.accept_quorum:
+            inst.accepted = tally[idx]
+            self.accept_queue.append((origin, seq, inst.accepted))
+
+    # A replayed gated message re-enters handle under this name: it is no new
+    # wire message, so whatever wraps handle to count wire messages (the
+    # perfbench tracer) does not count it again.
+    _replay = handle
+
+    def admits(self, msg) -> bool:
+        """Can ``handle`` take ``msg``: a 4-tuple (kind, origin, seq, payload)
+        with kind INIT, ECHO or READY, an int origin below n and an int seq
+        of at least 1?  The world drops what corrupted processes send that
+        fails this, so malformed traffic never reaches a good process."""
+        if type(msg) is not tuple or len(msg) != 4:
+            return False
+        kind, origin, seq, _ = msg
+        return (
+            type(kind) is int and INIT <= kind <= READY
+            and type(origin) is int and 0 <= origin < self.n
+            and type(seq) is int and seq >= 1
+        )
 
     def _retry_gated(self):
         progressed = False
@@ -243,10 +244,8 @@ class RBNode:
             for src, kind, payload in inst.pending:
                 if payload == inst.opened or self.gate(inst.origin, inst.seq, payload):
                     inst.opened = payload
-                    accepted = inst.process(src, kind, payload, self)
+                    self._replay(src, kind, inst.origin, inst.seq, payload)
                     progressed = True
-                    if accepted is not None:
-                        self.accept_queue.append((inst.origin, inst.seq, accepted))
                 else:
                     remaining.append((src, kind, payload))
             inst.pending = remaining

@@ -394,6 +394,7 @@ class AcceptCollector:
         self.pid = pid
         self.n = params.n
         self.rb = RBNode(pid, params)
+        self.admits = self.rb.admits
         self.payload_count = payload_count
         self.started_flag = False
 

@@ -144,3 +144,131 @@ def reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record_series
     return dict(iters_played=T, natural_end_at=None, unanimous_iters=T, dev=dev, corr=corr,
                 sg_series=sg_series, sb_series=sb_series, sigma_series=sigma_series,
                 raw=raw, lam=lam, hideable=[])
+
+
+def final_state(world, strategy):
+    """What a message-level run leaves behind, in comparable form: the
+    clock, the chain depth, the corruptions, the strategy generator's state
+    and, per process, its board cells and bars, its accepted log and its
+    decision."""
+    procs = []
+    for h in world.handlers:
+        rb, board = getattr(h, "rb", None), getattr(h, "board", None)
+        procs.append((
+            sorted(board.cells.items()) if board is not None else None,
+            sorted(board.lastbar.items()) if board is not None else None,
+            list(rb.accepted_log) if rb is not None else None,
+            getattr(h, "decided", None), getattr(h, "decided_iteration", None),
+            getattr(h, "decided_ordinal", None),
+        ))
+    return (world.clock, world.chain_depth, sorted(world.corrupted),
+            strategy.rng.getstate(), procs)
+
+
+def run_captured(cfg, seed, driver):
+    """Run one seed of a message-level config with ``driver`` standing in for
+    ``sim.run``.  Returns the run's record, its ``final_state`` and the
+    world's event trace."""
+    from bftsim import harness
+
+    seen = {}
+
+    def capture(world, strategy, stop=None, max_events=1_000_000):
+        seen["world"], seen["strategy"] = world, strategy
+        return driver(world, strategy, stop, max_events)
+
+    real = harness.run
+    harness.run = capture
+    try:
+        rec = harness._RUNNERS[cfg.mode](cfg, seed)
+    finally:
+        harness.run = real
+    world = seen["world"]
+    return rec, final_state(world, seen["strategy"]), world.trace
+
+
+def reference_run(world, strategy, stop=None, max_events=1_000_000):
+    """``sim.run`` one event at a time: a ``next_event`` step that picks each
+    event from the strategy's data, and ``WorldState.apply`` to apply it.
+    The reference for the event loop, which does both in place.
+
+    The pick: the ``rotate`` hook when its countdown has run out; the
+    corruption due, if any; the unstarted processes the strategy does not
+    refuse (while some process has never computed); one roll; then
+    deliveries below 0.7, computes above, starts of unstarted processes
+    below 0.25 or when nothing else is pending, each falling back on the
+    others.  A candidate is drawn uniformly, redrawn on refusal up to six
+    times, then drawn among every candidate that passes."""
+    from bftsim.sim import _STOP_STRIDE, COMPUTE, CORRUPT, DELIVER, AdversaryView, RunResult
+
+    strategy.setup(world)
+    view = AdversaryView(world)
+    rng = strategy.rng
+    n = world.params.n
+    ttl = 0
+    maybe_unstarted = True
+
+    def allowed(pid, p):
+        if pid not in strategy.blocked:
+            return True
+        return p < 1.0 and rng.random() >= p
+
+    def pick(cands, p, dst):
+        for _ in range(6):
+            cand = rng.choice(cands)
+            if allowed(dst(cand), p):
+                return cand
+        legal = [c for c in cands if allowed(dst(c), p)]
+        return rng.choice(legal) if legal else None
+
+    def next_event():
+        nonlocal ttl, maybe_unstarted
+        if strategy.rotate is not None:
+            if ttl <= 0:
+                ttl = strategy.rotate()
+            ttl -= 1
+        if strategy._corrupts:
+            pid = strategy._corruption_due(view)
+            if pid is not None:
+                return (CORRUPT, pid)
+        unstarted = ()
+        if maybe_unstarted:
+            unstarted = [i for i in range(n)
+                         if not world.started[i] and allowed(i, strategy.block_compute)]
+            if not unstarted and all(world.started):
+                maybe_unstarted = False
+        outs, ins = world._out_list, world._in_list
+        roll = rng.random()
+        if unstarted and (roll < 0.25 or not (outs or ins)):
+            return (COMPUTE, rng.choice(unstarted))
+        if outs and (roll < 0.7 or not ins):
+            e = pick(outs, strategy.block_deliver, lambda e: e[1])
+            if e is not None:
+                return (DELIVER, e[0], e[1])
+        if ins:
+            i = pick(ins, strategy.block_compute, lambda i: i)
+            if i is not None:
+                return (COMPUTE, i)
+        if outs:
+            e = pick(outs, strategy.block_deliver, lambda e: e[1])
+            if e is not None:
+                return (DELIVER, e[0], e[1])
+        if unstarted:
+            return (COMPUTE, rng.choice(unstarted))
+        return None
+
+    countdown = 1
+    while True:
+        countdown -= 1
+        if countdown <= 0:
+            if stop is not None and stop(world):
+                return RunResult(world.clock, "stop", world.chain_depth, world.trace)
+            countdown = _STOP_STRIDE
+        if world.clock >= max_events:
+            return RunResult(world.clock, "max-events", world.chain_depth, world.trace)
+        event = next_event()
+        if event is None:
+            if stop is not None and stop(world):
+                return RunResult(world.clock, "stop", world.chain_depth, world.trace)
+            return RunResult(world.clock, "quiescent", world.chain_depth, world.trace)
+        world.apply(event, strategy)

@@ -12,7 +12,7 @@ from bftsim.params import ProtocolParams, sgn
 def test_draw_index_matches_random_choice():
     import random
 
-    from bftsim.adversary import draw_index
+    from bftsim.sim import draw_index
 
     ours, ref = random.Random(2024), random.Random(2024)
     for size in range(1, 301):
@@ -111,7 +111,8 @@ def test_corrupting_run_is_freed_without_the_collector(adversary):
 
 class _JunkSender(Strategy):
     """Corrupts process 0 before anything runs; it opens one reliable
-    broadcast of the payload in ``opts["payload"]`` and then stays silent."""
+    broadcast of the payload in ``opts["payload"]``, or sends everyone the
+    raw wire message in ``opts["wire"]``, and then stays silent."""
 
     name = "junk-sender"
 
@@ -127,7 +128,7 @@ class _JunkSender(Strategy):
         if self._sent:
             return []
         self._sent = True
-        wire = (INIT, pid, 1, self.opts["payload"])
+        wire = self.opts["wire"] if "wire" in self.opts else (INIT, pid, 1, self.opts["payload"])
         return [(dst, wire) for dst in range(world.params.n) if dst != pid]
 
 
@@ -155,3 +156,46 @@ def test_malformed_payload_does_not_crash_a_run(monkeypatch, mode, payload):
         assert rec["corrupted"] == [0] and rec["decided"]
     else:
         assert rec["finalizers"] >= cfg.n - cfg.f
+
+
+_WIRE_MODES = {
+    "bracha": dict(mode="bracha", coin="local", m=4, T=16),
+    "blackboard": dict(mode="blackboard", m=2, T=4, boards=2),
+    "broadcast-fuzz": dict(mode="broadcast-fuzz"),
+}
+_VOTE = ("vote", 1, 1, 1)
+
+
+@pytest.mark.parametrize("mode", sorted(_WIRE_MODES))
+@pytest.mark.parametrize("wire", [
+    (1, 99, 1, _VOTE), (1, 0, "x", _VOTE), (1, 0, 1), "zz", (1, -1, 1, _VOTE),
+    (7, 0, 1, _VOTE), (1, 0, 0, _VOTE),
+], ids=repr)
+def test_malformed_wire_message_does_not_crash_a_run(monkeypatch, mode, wire):
+    # a corrupted sender may put anything on the wire, not only a bad payload
+    # in a well-formed message: an origin out of range, a seq that is no
+    # positive int, an unknown kind or no 4-tuple at all.  It is dropped, and
+    # the good processes still finish safely.
+    worlds = []
+
+    class Sender(_JunkSender):
+        def setup(self, world):
+            super().setup(world)
+            worlds.append(world)
+
+    monkeypatch.setitem(STRATEGIES, _JunkSender.name, Sender)
+    cfg = make_config(n=5, f=1, adversary=_JunkSender.name, adversary_args={"wire": wire},
+                      inputs="mixed", seeds=[3], **_WIRE_MODES[mode])
+    rec = run_experiment(cfg)[0]
+    # process 0 never broadcast: no good process keeps state for origin 0 or
+    # for an origin out of range
+    for h in worlds[0].handlers[1:]:
+        assert all(0 < origin < cfg.n for origin, _seq in [*h.rb.instances, *h.rb.future])
+    assert rec["violations"] == []
+    if cfg.mode == "bracha":
+        assert rec["corrupted"] == [0] and rec["decided"]
+    elif cfg.mode == "blackboard":
+        assert rec["finalizers"] >= cfg.n - cfg.f
+    else:
+        # every good process accepted both broadcasts of every good origin
+        assert rec["stopped"] == "quiescent" and rec["instances"] == 2 * (cfg.n - 1)

@@ -7,7 +7,6 @@ from bftsim.broadcast import (
     INIT,
     READY,
     FifoViolation,
-    RBInstance,
     RBNode,
     ValidationLedger,
 )
@@ -29,43 +28,49 @@ def test_thresholds_n4_f1():
     assert node.accept_quorum == 3  # 2f+1 distinct ready senders
 
 
+def _senders(node, kind, payload, origin=1, seq=1):
+    """The distinct senders ``node`` counted for one payload and kind."""
+    tally = node.instances[(origin, seq)].tally
+    mask = tally[4 * tally[0::4].index(payload) + 1 + kind]
+    return {i for i in range(node.n) if mask >> i & 1}
+
+
 def test_accept_fires_at_exactly_2f_plus_1_readies():
     node = _node()
-    inst = RBInstance(origin=1, seq=1)
-    assert inst.process(1, READY, "m", node) is None
-    assert len(inst.ready[0]) == 1  # below f+1: no reaction yet
+    node.handle(1, READY, 1, 1, "m")
+    assert not node.accept_queue
+    assert _senders(node, READY, "m") == {1}  # below f+1: no reaction yet
     # a second ready reaches f+1 = 2, the node sends its own ready, and the
     # self-count makes 2f+1 = 3 distinct senders: accept fires
-    assert inst.process(2, READY, "m", node) == "m"
-    assert inst.ready[0] == {0, 1, 2}
-    assert inst.accepted == "m"
+    node.handle(2, READY, 1, 1, "m")
+    assert list(node.accept_queue) == [(1, 1, "m")]
+    assert _senders(node, READY, "m") == {0, 1, 2}
+    assert node.instances[(1, 1)].accepted == "m"
 
 
 def test_duplicate_messages_idempotent():
     node = _node()
-    inst = RBInstance(origin=1, seq=1)
-    inst.process(2, ECHO, "m", node)
-    inst.process(2, ECHO, "m", node)
-    assert len(inst.echo[0]) == 1
+    node.handle(2, ECHO, 1, 1, "m")
+    node.handle(2, ECHO, 1, 1, "m")
+    assert _senders(node, ECHO, "m") == {2}
 
 
 def test_equivocating_sender_banned_and_recorded():
     node = _node()
-    inst = RBInstance(origin=1, seq=1)
-    inst.process(2, ECHO, "a", node)
-    inst.process(2, ECHO, "b", node)
+    node.handle(2, ECHO, 1, 1, "a")
+    node.handle(2, ECHO, 1, 1, "b")
     assert len(node.equivocations) == 1
-    assert 2 in inst.banned
-    inst.process(2, READY, "a", node)  # ignored thereafter
-    assert not inst.ready[0]
+    assert 2 in node.instances[(1, 1)].banned
+    node.handle(2, READY, 1, 1, "a")  # ignored thereafter
+    assert not _senders(node, READY, "a")
 
 
 def test_init_only_counts_from_origin():
     node = _node()
-    inst = RBInstance(origin=1, seq=1)
-    inst.process(3, INIT, "m", node)
+    node.handle(3, INIT, 1, 1, "m")
+    inst = node.instances[(1, 1)]
     assert inst.init_idx is None
-    inst.process(1, INIT, "m", node)
+    node.handle(1, INIT, 1, 1, "m")
     assert inst.init_idx == 0
     assert inst.sent_echo  # init from origin triggers echo
 

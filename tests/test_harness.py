@@ -341,3 +341,34 @@ def test_game_trace_records_verify():
     verdicts = verify_trace(rec["trace"])
     v = next(v for v in verdicts if v.name == "weight-loss-invariant")
     assert v.ok
+
+
+@pytest.mark.parametrize("name, seed, kwargs, want", [
+    ("fuzz-blackboard", 7,
+     dict(mode="blackboard", n=8, f=2, m=8, T=16, boards=2, adversary="fuzz", max_events=3_000_000),
+     "ef3f68be71ecc7019d977d9c267ccc4893896534938aa4a344d943f07e54d912"),
+    ("crash-stop-bracha", 7,
+     dict(mode="bracha", n=13, f=3, coin="local", adversary="crash-stop", inputs="mixed"),
+     "96078e431da284922068e8f9112b928c18e099b564d5b6cc58991edfcbcecb03"),
+    # the two seeds below run past iteration 1, so a blackboard coin is flipped
+    ("colluding-bracha-blackboard-coin", 7,
+     dict(mode="bracha", n=5, f=1, m=4, T=16, coin="blackboard", adversary="colluding",
+          inputs="mixed", max_iterations=6),
+     "26c60429a33ce4490037a2e3ce3202a285f4feb23cd579ec0003186bb4793ab5"),
+    ("counteract-bracha-blackboard-coin", 3,
+     dict(mode="bracha", n=5, f=1, m=4, T=16, coin="blackboard", adversary="counteract",
+          inputs="mixed", max_iterations=6),
+     "8fd8b38957b1b135377874e7a5f0b9217e81e278c4b403754651472c8e718645"),
+])
+def test_golden_untraced_digest(name, seed, kwargs, want):
+    # determinism anchor for runs without a trace: the record plus the final
+    # state (cells, bars, accepted logs, decisions, clock, chain depth and
+    # the strategy generator's state) of one run with trace off
+    import hashlib
+
+    from bftsim.sim import run
+    from oracles import run_captured
+
+    rec, state, _ = run_captured(make_config(seeds=[seed], **kwargs), seed, run)
+    assert "trace" not in rec
+    assert hashlib.sha256(repr((rec, state)).encode()).hexdigest() == want, name

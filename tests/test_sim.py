@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from bftsim.adversary import STRATEGIES
 from bftsim.params import ProtocolParams
 from bftsim.sim import (
     COMPUTE,
@@ -150,26 +151,22 @@ def test_snapshot_view_fields():
 
 
 def test_fairness_violation_detected():
-    class Starver:
-        def setup(self, world):
-            pass
+    from bftsim.adversary import Strategy
 
-        def on_corrupt(self, world, pid):
-            pass
+    class Starver(Strategy):
+        blocked = frozenset({1, 2})  # refused with probability 1: never scheduled
 
         def corrupted_compute(self, world, pid, inbox):
-            return []
+            return [(pid, ("noise", pid))]  # busy work that is no good process's progress
 
-        def next_event(self, view):
-            return (COMPUTE, 0)  # only ever schedules process 0
-
-    params = ProtocolParams(n=3, f=0, m=4, T=16, fairness_window=25)
-    handlers = [Echoer(i, 3) for i in range(3)]
+    params = ProtocolParams(n=4, f=1, m=4, T=16, fairness_window=25)
+    handlers = [Echoer(i, 4) for i in range(4)]
     world = WorldState(params, handlers)
-    world.apply((COMPUTE, 0))
-    world.apply((DELIVER, 0, 1))  # now process 1 has pending work
+    world.apply((CORRUPT, 0))
+    world.apply((COMPUTE, 3))
+    world.apply((DELIVER, 3, 1))  # now process 1 has pending work
     with pytest.raises(FairnessViolation):
-        run(world, Starver(), None, max_events=100)
+        run(world, Starver(), None, max_events=200)
 
 
 def test_chain_depth_grows_with_dependent_messages():
@@ -180,3 +177,35 @@ def test_chain_depth_grows_with_dependent_messages():
     world.apply((DELIVER, 1, 0))
     world.apply((COMPUTE, 0))
     assert world.chain_depth >= 3
+
+
+_LOOP_MODES = {
+    "bracha-local": dict(mode="bracha", n=5, f=1, m=4, T=16, coin="local", inputs="mixed",
+                         max_iterations=4),
+    "bracha-blackboard": dict(mode="bracha", n=5, f=1, m=4, T=16, coin="blackboard",
+                              inputs="mixed", max_iterations=3),
+    "blackboard": dict(mode="blackboard", n=5, f=1, m=4, T=16, boards=2),
+    "broadcast-fuzz": dict(mode="broadcast-fuzz", n=5, f=1),
+}
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("mode", sorted(_LOOP_MODES))
+@pytest.mark.parametrize("adversary", sorted(STRATEGIES))
+def test_event_loop_matches_reference(adversary, mode, trace):
+    # differential oracle: the loop in run picks and applies every event in
+    # place; the reference picks each one in a next_event step and applies it
+    # through WorldState.apply.  Records, traces, final states and the
+    # strategy generator's state must be equal.
+    from bftsim.harness import make_config
+    from oracles import reference_run, run_captured
+
+    for seed in (1, 2):
+        cfg = make_config(adversary=adversary, seeds=[seed], trace=trace, max_events=60_000,
+                          **_LOOP_MODES[mode])
+        got = run_captured(cfg, seed, run)
+        want = run_captured(cfg, seed, reference_run)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        assert bool(got[2]) == trace
