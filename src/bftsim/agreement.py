@@ -133,8 +133,7 @@ class WeightBook:
         xs = [[view.column_sum(t, i, p) for i in range(p.n)]
               for t in range((k - 1) * p.T + 1, k * p.T + 1)]
         dev, corr = compute_stats(xs, prev)
-        matching, _ = rising_tide(build_excess_graph(prev, dev, corr, p))
-        out = weight_update_local(prev, matching)
+        out, _, _ = epoch_advance(prev, dev, corr, p)
         self._viewer_cache[key] = out
         return out
 
@@ -203,16 +202,25 @@ class _ProtocolProcess:
         return self._flush()
 
     def on_compute(self, inbox):
-        handle = self.rb.handle
+        rb = self.rb
+        handle = rb.handle
         for src, (kind, origin, seq, payload) in inbox:
             handle(src, kind, origin, seq, payload)
-        return self._flush()
+        if rb.has_work():
+            return self._flush()
+        # only accepts change what _advance reads, so it would still say no
+        return self._fan_out()
 
     def _flush(self):
         while True:
             self.rb.pump()
             if not self._advance():
                 break
+        return self._fan_out()
+
+    def _fan_out(self):
+        if not self.rb.out_wire:
+            return ()
         others = self._others
         return [(dst, w) for w in self.rb.take_wire() for dst in others]
 

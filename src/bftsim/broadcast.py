@@ -277,6 +277,11 @@ class RBNode:
             if not progressed:
                 return
 
+    def has_work(self) -> bool:
+        """Would ``pump`` do anything: is an accept queued or a message
+        gated?  If not, the fixpoint the last pump reached still holds."""
+        return bool(self.accept_queue or self._gated)
+
     def take_wire(self):
         out = self.out_wire
         self.out_wire = []

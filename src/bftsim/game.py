@@ -30,7 +30,7 @@ import numpy as np
 from .adversary import counteract_bad_values
 from .agreement import epoch_advance
 from .matching import reconcile_weights
-from .params import ProtocolParams, clamp_coin_sum, sgn
+from .params import ConfigInvalid, ProtocolParams, clamp_coin_sum, sgn
 
 
 def achievable_column_sum(target: float, m: int, sigma: int):
@@ -245,7 +245,9 @@ def run_game(cfg: GameConfig) -> GameReport:
         p.require_quarter_resilience()
     opp_cls = GAME_OPPONENTS.get(cfg.adversary)
     if opp_cls is None:
-        raise KeyError(f"unknown game adversary {cfg.adversary!r}; have {sorted(GAME_OPPONENTS)}")
+        raise ConfigInvalid(f"unknown game adversary {cfg.adversary!r}; have {sorted(GAME_OPPONENTS)}")
+    if cfg.epochs < 1:
+        raise ConfigInvalid(f"need epochs >= 1, got {cfg.epochs}")
     opp = opp_cls(**cfg.adversary_args)
     play = _play_iterations if opp.forcing else _play_whole_epoch
 
@@ -418,7 +420,7 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
         best = None
         for hidden in candidates:
             dv, cv = _adjusted_stats(dev, corr, final_wx, raw, lam, w, hidden, p)
-            new_w, _, _ = epoch_advance(list(w), dv, cv, p)
+            new_w, _, _ = epoch_advance(w.tolist(), dv, cv, p)
             if best is None or new_w[pid] > best[0][pid]:
                 best = (new_w, hidden)
         locals_[pid] = best[0]

@@ -10,7 +10,10 @@ Self-loops count once against their vertex capacity.
 
 Arithmetic is exact (``fractions.Fraction``), so saturation is tested with
 no tolerance.  Infinite edge capacities use ``math.inf`` and never enter the
-step-size minimum.
+step-size minimum.  Only the capacities the raise reads are made exact: those
+of positive-capacity edges and of the vertices they touch.  A graph without
+such an edge (most excess graphs after the first epoch) skips exact
+arithmetic altogether.
 """
 from __future__ import annotations
 
@@ -131,19 +134,21 @@ def rising_tide(g: CapacitatedGraph):
     |E| rounds; the result is a maximal feasible fractional matching.
     """
     zero = Fraction(0)
-    c_v = [_to_exact(x) for x in g.c_v]
-    caps = {}
-    for e, cap in g.c_e.items():
-        caps[e] = _to_exact(cap)
-
-    active = [e for e, cap in caps.items() if cap > 0]
-    mu = {e: zero for e in caps}
+    mu = dict.fromkeys(g.c_e, zero)
+    active = [e for e, cap in g.c_e.items() if cap > 0]
+    if not active:
+        return FractionalMatching(g.n, mu, []), DependencyGraph(g.n, set())
+    caps = {e: _to_exact(g.c_e[e]) for e in active}
     deg = [0] * g.n
-    base = [zero] * g.n  # frozen incident mass per vertex
     for i, j in active:
         deg[i] += 1
         if j != i:
             deg[j] += 1
+    touched = [i for i in range(g.n) if deg[i]]  # no other vertex is ever read
+    c_v = [None] * g.n
+    for i in touched:
+        c_v[i] = _to_exact(g.c_v[i])
+    base = [zero] * g.n  # frozen incident mass per vertex
 
     level = zero
     steps = []
@@ -157,7 +162,7 @@ def rising_tide(g: CapacitatedGraph):
                 cand = cap - level
                 if delta is None or cand < delta:
                     delta = cand
-        for i in range(g.n):
+        for i in touched:
             if deg[i]:
                 cand = (c_v[i] - base[i] - deg[i] * level) / deg[i]
                 if delta is None or cand < delta:
@@ -169,7 +174,7 @@ def rising_tide(g: CapacitatedGraph):
         level = level + delta
 
         sat_v = set()
-        for i in range(g.n):
+        for i in touched:
             if deg[i] and c_v[i] - (base[i] + deg[i] * level) <= zero:
                 sat_v.add(i)
         sat_e = set()
@@ -243,16 +248,18 @@ def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
     alpha_T, beta_T = params.alpha_T, params.beta_T
     coeff = 16.0 / (params.eps * params.f * alpha_T)
     c_e = {}
+    # numpy: read once, as plain floats
+    dev = dev.tolist() if hasattr(dev, "tolist") else dev
+    corr = corr.tolist() if hasattr(corr, "tolist") else corr
     for i in range(n):
-        excess = max(0.0, dev[i] - weights[i] ** 2 * alpha_T)
+        excess = dev[i] - weights[i] ** 2 * alpha_T
         if excess > 0:
             c_e[(i, i)] = min(coeff * excess, weights[i])
-    rows = corr.tolist() if hasattr(corr, "tolist") else corr  # numpy: read once
     for i in range(n):
-        row, wi = rows[i], weights[i]
+        row, wi = corr[i], weights[i]
         for j in range(i + 1, n):
             wj = weights[j]
-            excess = max(0.0, row[j] - wi * wj * beta_T)
+            excess = row[j] - wi * wj * beta_T
             if excess > 0:
                 cap = min(coeff * 2.0 * excess, wi, wj)
                 if cap > 0:
@@ -262,10 +269,14 @@ def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
 
 def weight_update_local(weights, matching: FractionalMatching):
     """Dock every vertex by its saturation level; results stay in [0, 1]."""
+    sat = [0] * len(weights)  # every vertex's saturation, in one pass over mu
+    for (a, b), v in matching.mu.items():
+        sat[a] += v
+        if b != a:
+            sat[b] += v
     out = []
-    for i, w in enumerate(weights):
-        nw = w - matching.saturation(i)
-        nw = float(nw)
+    for w, s in zip(weights, sat):
+        nw = float(w - s)
         if nw < 0:
             nw = 0.0  # float dust only; feasibility bounds saturation by w
         out.append(nw)

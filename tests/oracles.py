@@ -272,3 +272,98 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
                 return RunResult(world.clock, "stop", world.chain_depth, world.trace)
             return RunResult(world.clock, "quiescent", world.chain_depth, world.trace)
         world.apply(event, strategy)
+
+
+def reference_rising_tide(g):
+    """``matching.rising_tide`` as it was before the edgeless early return:
+    every vertex and edge capacity made exact up front, every vertex scanned
+    in every step.  The reference the faster raise must match bit for bit."""
+    from fractions import Fraction
+
+    from bftsim.matching import DependencyGraph, FractionalMatching, FreezeStep, _to_exact
+
+    zero = Fraction(0)
+    c_v = [_to_exact(x) for x in g.c_v]
+    caps = {}
+    for e, cap in g.c_e.items():
+        caps[e] = _to_exact(cap)
+
+    active = [e for e, cap in caps.items() if cap > 0]
+    mu = {e: zero for e in caps}
+    deg = [0] * g.n
+    base = [zero] * g.n
+    for i, j in active:
+        deg[i] += 1
+        if j != i:
+            deg[j] += 1
+
+    level = zero
+    steps = []
+    dep_edges = set()
+    step_no = 0
+    while active:
+        delta = None
+        for i, j in active:
+            cap = caps[(i, j)]
+            if cap is not INF:
+                cand = cap - level
+                if delta is None or cand < delta:
+                    delta = cand
+        for i in range(g.n):
+            if deg[i]:
+                cand = (c_v[i] - base[i] - deg[i] * level) / deg[i]
+                if delta is None or cand < delta:
+                    delta = cand
+        if delta < zero:
+            delta = zero
+        level = level + delta
+
+        sat_v = set()
+        for i in range(g.n):
+            if deg[i] and c_v[i] - (base[i] + deg[i] * level) <= zero:
+                sat_v.add(i)
+        sat_e = set()
+        for e in active:
+            cap = caps[e]
+            if cap is not INF and cap - level <= zero:
+                sat_e.add(e)
+
+        frozen = []
+        still = []
+        for e in active:
+            i, j = e
+            if e in sat_e or i in sat_v or j in sat_v:
+                frozen.append(e)
+            else:
+                still.append(e)
+        for e in frozen:
+            i, j = e
+            mu[e] = level
+            deg[i] -= 1
+            base[i] += level
+            if j != i:
+                deg[j] -= 1
+                base[j] += level
+            if i in sat_v and i != j:
+                dep_edges.add((j, i))
+            if j in sat_v and i != j:
+                dep_edges.add((i, j))
+        active = still
+        steps.append(
+            FreezeStep(step_no, level, tuple(frozen), tuple(sorted(sat_v)), tuple(sorted(sat_e)))
+        )
+        step_no += 1
+
+    return FractionalMatching(g.n, mu, steps), DependencyGraph(g.n, dep_edges)
+
+
+def reference_weight_update_local(weights, matching):
+    """``matching.weight_update_local`` as it was before the one-pass
+    saturation: one scan of the matching per vertex."""
+    out = []
+    for i, w in enumerate(weights):
+        nw = float(w - matching.saturation(i))
+        if nw < 0:
+            nw = 0.0
+        out.append(nw)
+    return out

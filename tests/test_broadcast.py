@@ -39,13 +39,17 @@ def test_accept_fires_at_exactly_2f_plus_1_readies():
     node = _node()
     node.handle(1, READY, 1, 1, "m")
     assert not node.accept_queue
+    assert not node.has_work()  # nothing for pump to do
     assert _senders(node, READY, "m") == {1}  # below f+1: no reaction yet
     # a second ready reaches f+1 = 2, the node sends its own ready, and the
     # self-count makes 2f+1 = 3 distinct senders: accept fires
     node.handle(2, READY, 1, 1, "m")
     assert list(node.accept_queue) == [(1, 1, "m")]
+    assert node.has_work()
     assert _senders(node, READY, "m") == {0, 1, 2}
     assert node.instances[(1, 1)].accepted == "m"
+    node.pump()
+    assert not node.has_work()
 
 
 def test_duplicate_messages_idempotent():
@@ -147,6 +151,7 @@ def test_participation_gate_delays_reactions():
                 node.handle(src, *msg)
                 node.pump()
     assert all(not n.take_wire() for n in nodes if n.pid != 1)
+    assert all(n.has_work() for n in nodes if n.pid != 1)  # gated: pump must retry
     for i in range(4):
         open_flags[i] = True
     for node in nodes:

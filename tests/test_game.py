@@ -7,7 +7,7 @@ from bftsim.game import (
     achievable_column_sum,
     run_game,
 )
-from bftsim.params import ProtocolParams, sgn
+from bftsim.params import ConfigInvalid, ProtocolParams, sgn
 
 
 def _params(**kw):
@@ -315,6 +315,63 @@ def test_whole_epoch_play_matches_reference_loop(opponent):
             assert _hexes(ep.weights_out) == _hexes(rep.weights_out)
             assert (ep.iters_played, ep.unanimous_iters, ep.natural_end_at) == (T, T, None)
             weights = rep.weights_out
+
+
+# (opponent, params, epochs, seed): each opponent's frozen views; the c=1
+# colluding game is the benchmark's shape, and its colluders lose weight
+FROZEN_VIEW_GAMES = [
+    ("honest-random", dict(n=9, f=2, m=8, T=64, c=4), 2, 91001),
+    ("crash-stop", dict(n=13, f=3, m=7, T=48, c=4), 2, 91002),
+    ("counteract", dict(n=9, f=2, m=7, T=96, c=4), 3, 91003),
+    ("colluding", dict(n=9, f=2, m=8, T=256, c=1), 5, 91004),
+]
+
+
+@pytest.mark.parametrize("opponent, params, epochs, seed", FROZEN_VIEW_GAMES)
+def test_epoch_advance_same_bits_from_numpy_and_float_weights(
+        monkeypatch, opponent, params, epochs, seed):
+    # every frozen view a seeded game hands to epoch_advance, replayed with
+    # the weights as numpy scalars (list(w)) and as floats (w.tolist()), and
+    # against the pre-change raise and update
+    from bftsim import game
+    from bftsim.agreement import epoch_advance
+    from bftsim.matching import build_excess_graph
+    from oracles import reference_rising_tide, reference_weight_update_local
+
+    views = []
+    real = game.epoch_advance
+
+    def capture(weights, dev, corr, p):
+        views.append((np.array(weights, dtype=float), dev.copy(), corr.copy(), p))
+        return real(weights, dev, corr, p)
+
+    monkeypatch.setattr(game, "epoch_advance", capture)
+    cfg = GameConfig(params=ProtocolParams(eps=0.5, **params), adversary=opponent,
+                     epochs=epochs, seed=seed, stop_on_natural_end=False)
+    report = run_game(cfg)
+    assert len(views) >= epochs * (params["n"] - params["f"])
+    for w, dev, corr, p in views:
+        runs = []
+        for weights in (list(w), w.tolist()):
+            new, m, deps = epoch_advance(weights, dev.copy(), corr.copy(), p)
+            runs.append((_hexes(new), list(m.mu.items()), m.steps, deps.edges))
+        assert runs[0] == runs[1]
+        ref_m, ref_deps = reference_rising_tide(build_excess_graph(list(w), dev, corr, p))
+        ref_new = reference_weight_update_local(list(w), ref_m)
+        assert runs[1] == (_hexes(ref_new), list(ref_m.mu.items()), ref_m.steps, ref_deps.edges)
+    if opponent == "colluding":
+        assert min(min(ep.weights_out) for ep in report.epochs) < 1.0
+
+
+def test_unknown_game_adversary_is_config_invalid():
+    with pytest.raises(ConfigInvalid, match="unknown game adversary"):
+        run_game(GameConfig(params=_params(), adversary="no-such-opponent"))
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_game_without_epochs_is_config_invalid(epochs):
+    with pytest.raises(ConfigInvalid, match="epochs"):
+        run_game(GameConfig(params=_params(), epochs=epochs))
 
 
 # -- golden digests --------------------------------------------------------------

@@ -22,7 +22,12 @@ from bftsim.matching import (
 )
 from bftsim.params import ProtocolParams
 
-from oracles import euler_matching, random_graph
+from oracles import (
+    euler_matching,
+    random_graph,
+    reference_rising_tide,
+    reference_weight_update_local,
+)
 
 
 def test_triangle_unit_capacities():
@@ -191,6 +196,73 @@ def test_weight_update_zero_matching_is_identity():
     g = CapacitatedGraph(2, [0.9, 0.4], {})
     m, _ = rising_tide(g)
     assert weight_update_local([0.9, 0.4], m) == [0.9, 0.4]
+
+
+# -- the raise and the update against their pre-change references ----------------
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _update_matches_reference(c_v, c_e):
+    """rising_tide and weight_update_local against the references on one
+    graph, with c_v (also the weights) as plain floats and as numpy scalars.
+    Returns the updated weights."""
+    out = []
+    for caps in (list(c_v), list(np.array(c_v, dtype=float))):
+        g = CapacitatedGraph(len(caps), caps, dict(c_e))
+        got, got_deps = rising_tide(g)
+        want, want_deps = reference_rising_tide(g)
+        assert list(got.mu.items()) == list(want.mu.items())
+        assert all(type(v) is Fraction for v in got.mu.values())
+        assert got.steps == want.steps
+        assert got_deps.edges == want_deps.edges
+        new = weight_update_local(caps, got)
+        assert all(type(x) is float for x in new)
+        assert _hexes(new) == _hexes(reference_weight_update_local(caps, want))
+        out.append(_hexes(new))
+    assert out[0] == out[1]  # numpy scalars in, the same bits out
+    return out[0]
+
+
+def test_rising_tide_matches_reference_on_random_graphs():
+    # self-loops, infinite edges and ties (a quarter of the graphs share
+    # one capacity value across every finite edge)
+    rng = np.random.default_rng(8021)
+    nonempty = 0
+    for k in range(300):
+        c_v, c_e = random_graph(rng, n_max=9)
+        if k % 4 == 0:
+            c_e = {e: cap if cap is INF else 0.25 for e, cap in c_e.items()}
+        nonempty += any(cap > 0 for cap in c_e.values())
+        _update_matches_reference(c_v, c_e)
+    assert nonempty > 250
+
+
+def test_rising_tide_matches_reference_on_edgeless_graphs():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 9):
+        c_v = [float(x) for x in rng.uniform(0, 1, size=n)]
+        assert _update_matches_reference(c_v, {}) == _hexes(c_v)
+        zero_caps = {(0, 0): 0.0, (0, n - 1): 0.0}  # present but never raised
+        assert _update_matches_reference(c_v, zero_caps) == _hexes(c_v)
+        m, deps = rising_tide(CapacitatedGraph(n, c_v, zero_caps))
+        assert m.mu == {e: 0 for e in zero_caps} and m.steps == [] and deps.edges == set()
+
+
+def test_rising_tide_matches_reference_with_isolated_vertices():
+    # edges among the first vertices only; the rest are never touched, and
+    # an untouched vertex's capacity is never read
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        c_v, c_e = random_graph(rng, n_max=6)
+        extra = [float(x) for x in rng.uniform(0, 1, size=int(rng.integers(1, 4)))]
+        c_v = extra[:1] + c_v + extra[1:]  # isolated vertex 0 and trailing ones
+        shifted = {(i + 1, j + 1): cap for (i, j), cap in c_e.items()}
+        new = _update_matches_reference(c_v, shifted)
+        assert new[0] == c_v[0].hex()
+        assert new[len(new) - (len(extra) - 1):] == _hexes(extra[1:])
 
 
 def test_reconcile_weights_floor_and_self_entry():
