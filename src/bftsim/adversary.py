@@ -1,8 +1,10 @@
 """Pluggable adversaries: full-information scheduling strategies for the
 event simulator, plus the simplified-game and epoch-game opponents.
 
-Every strategy is a deterministic function of (seed, view); replaying a run
-with the same seed and configuration reproduces the schedule bit for bit.
+Every strategy is a deterministic function of (seed, world): it sees every
+process state and buffer, but not the processes' future randomness.
+Replaying a run with the same seed and configuration reproduces the schedule
+bit for bit.
 """
 from __future__ import annotations
 
@@ -51,7 +53,9 @@ class Strategy:
     draw.  A subclass that defines ``rotate`` has it called before the first
     event and again each time the number of events it returned has passed;
     it may replace ``blocked``.  Subclasses that corrupt override
-    ``_corruption_due``; it is consulted before every event only for them.
+    ``_corruption_due(world)``, which returns the pid to corrupt next or
+    None; it is consulted before every event only for them, with
+    ``world.clock`` current.
     """
 
     name = "honest-random"
@@ -75,7 +79,7 @@ class Strategy:
     def corrupted_compute(self, world, pid, inbox):
         return []
 
-    def _corruption_due(self, view):
+    def _corruption_due(self, world):
         return None
 
 
@@ -115,8 +119,8 @@ class CrashStop(Strategy):
             (self.rng.randint(0, horizon), pid) for pid in pids
         )
 
-    def _corruption_due(self, view):
-        if self.schedule and view.clock >= self.schedule[0][0]:
+    def _corruption_due(self, world):
+        if self.schedule and world.clock >= self.schedule[0][0]:
             return self.schedule.pop(0)[1]
         return None
 
@@ -148,7 +152,7 @@ class _ProtocolCompliantCorruption(Strategy):
         self.bad = sorted(self.rng.sample(range(world.params.n), world.params.f))
         self._to_corrupt = list(self.bad)
 
-    def _corruption_due(self, view):
+    def _corruption_due(self, world):
         if self._to_corrupt:
             return self._to_corrupt.pop(0)
         return None
@@ -185,7 +189,7 @@ class Counteract(_ProtocolCompliantCorruption):
         self._sigma = {}
         self._pad = {}
 
-    def direction(self, t, view=None) -> int:
+    def direction(self, t) -> int:
         got = self._sigma.get(t)
         if got is None:
             got = 1
@@ -198,37 +202,15 @@ class Counteract(_ProtocolCompliantCorruption):
             self._sigma[t] = got
         return got
 
-    def _observed_good_sum(self, t):
-        total = 0
-        for j in range(self.world.params.n):
-            if j in self.bad:
-                continue
-            handler = self.world.handlers[j]
-            log = getattr(handler, "write_log", None)
-            if log:
-                for (tt, _r), v in log.items():
-                    if tt == t:
-                        total += v
-        return total
-
     def bad_value(self, world, pid, t, r):
         sigma = self.direction(t)
-        total = self._observed_good_sum(t) + self._bad_written(t)
+        # every coin written to board t so far, good and bad
+        total = sum(v for h in world.handlers for (tt, _r), v in h.write_log.items() if tt == t)
         if sigma * total < 0:
             return sigma
         pad = self._pad.get(t, 1)
         self._pad[t] = -pad
         return pad
-
-    def _bad_written(self, t):
-        total = 0
-        for j in self.bad:
-            log = getattr(self.world.handlers[j], "write_log", None)
-            if log:
-                for (tt, _r), v in log.items():
-                    if tt == t:
-                        total += v
-        return total
 
 
 class Colluding(_ProtocolCompliantCorruption):
@@ -263,7 +245,7 @@ class Equivocator(Strategy):
         self.target = int(self.opts.get("target", 0))
         self._to_corrupt = [self.target]
 
-    def _corruption_due(self, view):
+    def _corruption_due(self, world):
         if self._to_corrupt:
             return self._to_corrupt.pop(0)
         return None
@@ -319,15 +301,18 @@ def make_strategy(name, seed=0, **opts) -> Strategy:
 # -- simplified-game opponents ---------------------------------------------
 
 
+def random_bad_set(n, f, rng):
+    """The corrupted set of a game, simplified or epoch: f distinct
+    processes drawn uniformly by a numpy generator."""
+    return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
+
+
 class SimpleGameAdversary:
     """Opponent interface for the unweighted game: pick the bad set, commit a
     direction each round, then fill in bad values after seeing good flips."""
 
     name = "simple-base"
-
-    def pick_bad(self, n, f, rng):
-        ids = rng.choice(n, size=f, replace=False)
-        return frozenset(int(i) for i in ids)
+    pick_bad = staticmethod(random_bad_set)
 
     def direction(self, t, rng) -> int:
         return 1

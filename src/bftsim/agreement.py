@@ -359,20 +359,18 @@ class BrachaProcess(_ProtocolProcess):
 @dataclass
 class AgreementVerdict:
     agreement_ok: bool
-    validity_ok: bool
+    validity_ok: bool | None  # None: the good inputs are not unanimous, validity does not apply
     lag_ok: bool
-    all_decided: bool
     violations: list = field(default_factory=list)
 
-    @property
-    def safe(self) -> bool:
-        return self.agreement_ok and self.validity_ok and self.lag_ok
 
+def check_agreement(inputs, decisions, good_pids) -> AgreementVerdict:
+    """Safety verdict over the good processes: Agreement, Validity, and the
+    one-iteration decision lag.  Liveness is the caller's to judge.
 
-def check_agreement(inputs, decisions, good_pids, *, finished: bool) -> AgreementVerdict:
-    """Post-hoc verdict: Agreement, Validity, and the one-iteration decision lag.
-
-    ``decisions`` maps pid -> DecisionRecord for processes that decided.
+    ``inputs`` maps pid -> input value and ``decisions`` maps pid ->
+    DecisionRecord for processes that decided.  Validity applies when every
+    good process's input is known and all are equal.
     """
     violations = []
     good_decs = [decisions[p] for p in good_pids if p in decisions]
@@ -380,20 +378,17 @@ def check_agreement(inputs, decisions, good_pids, *, finished: bool) -> Agreemen
     agreement_ok = len(values) <= 1
     if not agreement_ok:
         violations.append("agreement: good processes decided different values")
-    validity_ok = True
-    good_inputs = {inputs[p] for p in good_pids}
-    if len(good_inputs) == 1 and good_decs:
-        want = next(iter(good_inputs))
-        if values and values != {want}:
-            validity_ok = False
+    validity_ok = None
+    good_inputs = {inputs.get(p) for p in good_pids}
+    if len(good_inputs) == 1 and None not in good_inputs:
+        validity_ok = values <= good_inputs
+        if not validity_ok:
+            (want,) = good_inputs
             violations.append(f"validity: unanimous input {want} but decided {values}")
     lag_ok = True
-    all_decided = len(good_decs) == len(good_pids)
     if good_decs:
         its = [d.iteration for d in good_decs]
         if max(its) - min(its) > 1:
             lag_ok = False
             violations.append(f"decision lag {max(its) - min(its)} > 1")
-    if not finished:
-        violations.append("non-termination: event budget reached")
-    return AgreementVerdict(agreement_ok, validity_ok, lag_ok, all_decided, violations)
+    return AgreementVerdict(agreement_ok, validity_ok, lag_ok, violations)

@@ -248,8 +248,8 @@ class BlackboardNode:
                     if len(below) < self.need:
                         return False
                     return lex_max([tuple(tuple(p) for p in v) for v in below]) == zeta
-                if type(value) is not int or value not in (1, -1):
-                    return False  # a coin write carries +-1
+                if r > self.m or type(value) is not int or value not in (1, -1):
+                    return False  # a coin write fills a row 1..m with +-1
                 senders = self.ack_senders.get((t, r - 1, origin))
                 return senders is not None and len(senders) >= self.need
             if tag == ACK:

@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: ``run`` (one configuration over a seed set), ``sweep`` (cross
-product over grid values), ``verify`` (re-check an exported trace bundle),
+product over grid values), ``verify`` (re-check the traces in a metrics file
+or a bare trace bundle),
 ``simplified-game`` (the unweighted detection game).  A plain key=value
 config file may seed any subcommand; CLI flags override it.  BF_THREADS caps
 the worker pool.
@@ -12,8 +13,10 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import fields
 
 from .harness import (
+    ExperimentConfig,
     coerce_config,
     emit_metrics,
     header_record,
@@ -61,32 +64,11 @@ def _collect(args) -> dict:
     kwargs = {}
     if args.config:
         kwargs.update(load_config_file(args.config))
-    for key in (
-        "mode",
-        "n",
-        "f",
-        "eps",
-        "m",
-        "T",
-        "c",
-        "k_max",
-        "fairness_window",
-        "coin",
-        "adversary",
-        "seeds",
-        "stop",
-        "inputs",
-        "boards",
-        "epochs",
-        "max_events",
-        "max_iterations",
-        "out",
-        "trace",
-        "zero_bad_weights",
-    ):
-        val = getattr(args, key, None)
+    # adversary_args and record_series have no flag of that name, so they are skipped
+    for field in fields(ExperimentConfig):
+        val = getattr(args, field.name, None)
         if val is not None:
-            kwargs[key] = val
+            kwargs[field.name] = val
     if args.adversary_arg:
         parsed = dict(kv.split("=", 1) for kv in args.adversary_arg)
         kwargs["adversary_args"] = parsed
@@ -136,21 +118,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    records = []
     with open(args.trace_file) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        records = [json.loads(line) for line in fh if line.strip()]
     verdicts = verify_trace(records, f=args.f)
-    failed = False
     for v in verdicts:
         status = "PASS" if v.ok else "FAIL"
+        seed = f" seed={v.seed}" if v.seed is not None else ""
         extra = f" ({v.detail})" if v.detail else ""
         first = f" first-violation={v.first_violation}" if v.first_violation >= 0 else ""
-        print(f"{status} {v.name}{extra}{first}")
-        failed = failed or not v.ok
-    return 1 if failed else 0
+        print(f"{status} {v.name}{seed}{extra}{first}")
+    if not verdicts:
+        print(f"no verdict: {args.trace_file} holds no trace records", file=sys.stderr)
+        return 1
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 def cmd_simplified(args) -> int:
@@ -175,7 +155,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--grid", action="append", metavar="KEY=V1,V2", default=[])
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="verify an exported trace bundle")
+    p_verify = sub.add_parser("verify", help="re-check the traces a run --trace --out file holds")
     p_verify.add_argument("trace_file")
     p_verify.add_argument("--f", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

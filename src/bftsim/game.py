@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import counteract_bad_values
+from .adversary import counteract_bad_values, random_bad_set
 from .agreement import epoch_advance
 from .matching import reconcile_weights
 from .params import ConfigInvalid, ProtocolParams, clamp_coin_sum, sgn
@@ -131,9 +131,7 @@ class CrashGame(GameOpponent):
     """f processes are corrupted at the start and never write anything."""
 
     name = "crash-stop"
-
-    def pick_bad(self, n, f, rng):
-        return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
+    pick_bad = staticmethod(random_bad_set)
 
 
 class CounteractGame(GameOpponent):
@@ -144,9 +142,7 @@ class CounteractGame(GameOpponent):
 
     name = "counteract"
     forcing = True
-
-    def pick_bad(self, n, f, rng):
-        return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
+    pick_bad = staticmethod(random_bad_set)
 
     def direction(self, t, rng) -> int:
         return int(rng.integers(0, 2)) * 2 - 1
@@ -169,9 +165,7 @@ class ColludingGame(GameOpponent):
     """Corrupted players copy one leader's honest-looking flips exactly."""
 
     name = "colluding"
-
-    def pick_bad(self, n, f, rng):
-        return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
+    pick_bad = staticmethod(random_bad_set)
 
     def epoch_moves(self, T, m, rng):
         # iteration by iteration: one draw for sigma(t), then the leader's m

@@ -10,10 +10,11 @@ import json
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .adversary import make_strategy
 from .agreement import BlackboardProcess, BrachaProcess, DecisionRecord, check_agreement
+from .blackboard import FinalView
 from .broadcast import RBNode
 from .game import GAME_OPPONENTS, GameConfig, run_game, weight_loss
 from .params import ConfigInvalid, ProtocolParams
@@ -101,16 +102,7 @@ class ExperimentConfig:
             raise ConfigInvalid(f"weighted-coin runs need f < n/4 (n={self.n}, f={self.f})")
 
     def params(self) -> ProtocolParams:
-        return ProtocolParams(
-            n=self.n,
-            f=self.f,
-            eps=self.eps,
-            m=self.m,
-            T=self.T,
-            c=self.c,
-            k_max=self.k_max,
-            fairness_window=self.fairness_window,
-        )
+        return ProtocolParams(**{p.name: getattr(self, p.name) for p in fields(ProtocolParams)})
 
 
 def load_config_file(path) -> dict:
@@ -227,14 +219,15 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
         return any(h.iteration > max_iterations for h in active)
 
     result = run(world, strategy, stop, max_events)
-    good = [pid for pid in range(params.n) if pid not in world.corrupted and pid not in starved]
+    good = [pid for pid in range(params.n) if pid not in world.corrupted]
     decisions = {
         h.pid: DecisionRecord(h.pid, h.decided_iteration, h.decided, h.decided_ordinal)
         for h in handlers
-        if h.decided is not None and h.pid in good
+        if h.decided is not None and h.pid not in world.corrupted
     }
-    finished = bool(good) and all(pid in decisions for pid in good)
-    verdict = check_agreement(inputs, decisions, good, finished=finished)
+    live = [pid for pid in good if pid not in starved]
+    finished = bool(live) and all(pid in decisions for pid in live)
+    verdict = check_agreement(dict(enumerate(inputs)), decisions, good)
     rec = {
         "seed": seed,
         "mode": cfg.mode,
@@ -246,9 +239,9 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
         "chain_depth": result.chain_depth,
         "stopped": result.stopped,
         "agreement_ok": verdict.agreement_ok,
-        "validity_ok": verdict.validity_ok,
+        "validity_ok": verdict.validity_ok is not False,
         "lag_ok": verdict.lag_ok,
-        "violations": [v for v in verdict.violations if not v.startswith("non-termination")],
+        "violations": verdict.violations,
         "corrupted": sorted(world.corrupted),
         "starved": sorted(starved),
     }
@@ -258,94 +251,86 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def _trace_records(world, handlers, inputs=None, decisions=None):
-    recs = []
-    for ordinal, kind, a, b, digest in world.trace:
-        recs.append({"rec": "event", "ordinal": ordinal, "kind": kind, "src": a, "dst": b, "digest": digest})
-    if inputs is not None:
-        for pid, v in enumerate(inputs):
-            recs.append({"rec": "input", "pid": pid, "value": v})
-    if decisions:
-        for d in decisions.values():
-            recs.append(
-                {
-                    "rec": "decide",
-                    "pid": d.pid,
-                    "iteration": d.iteration,
-                    "value": d.value,
-                    "event_ordinal": d.event_ordinal,
-                }
-            )
+    """A run as trace records: its events, then the inputs and decisions,
+    every process's accepts and final bars, and the coin cells (rows 1..m)
+    each at its first accept."""
+    recs = [{"rec": "event", "ordinal": ordinal, "kind": kind, "src": a, "dst": b, "digest": digest}
+            for ordinal, kind, a, b, digest in world.trace]
+    for pid, v in enumerate(inputs or ()):
+        recs.append({"rec": "input", "pid": pid, "value": v})
+    for d in (decisions or {}).values():
+        recs.append({"rec": "decide", "pid": d.pid, "iteration": d.iteration, "value": d.value,
+                     "event_ordinal": d.event_ordinal})
+    cells = {}
     for h in handlers:
-        rb = getattr(h, "rb", None)
-        if rb is None:
-            continue
-        for origin, seq, payload in rb.accepted_log:
-            recs.append(
-                {"rec": "accept", "pid": h.pid, "origin": origin, "seq": seq, "payload": repr(payload)}
-            )
         board = getattr(h, "board", None)
+        for idx, (origin, seq, payload) in enumerate(h.rb.accepted_log):
+            recs.append({"rec": "accept", "pid": h.pid, "origin": origin, "seq": seq,
+                         "payload": repr(payload)})
+            if board is not None and payload[0] == "write" and payload[2] >= 1:
+                cells.setdefault((payload[1], payload[2], origin), (payload[3], idx))
         if board is not None:
             for t, bar in sorted(board.lastbar.items()):
                 recs.append({"rec": "final", "pid": h.pid, "t": t, "lastbar": [list(p) for p in bar]})
-    if handlers:
-        board = getattr(handlers[0], "board", None)
-        if board is not None:
-            seen = {}
-            for h in handlers:
-                rb = getattr(h, "rb", None)
-                if getattr(h, "board", None) is None or rb is None:
-                    continue
-                for idx, (origin, _seq, payload) in enumerate(rb.accepted_log):
-                    if payload and payload[0] == "write":
-                        _, t, r, v = payload
-                        seen.setdefault((t, r, origin), (v, idx))
-            for (t, r, i), (v, idx) in sorted(seen.items()):
-                if r >= 1:
-                    recs.append(
-                        {
-                            "rec": "cell",
-                            "t": t,
-                            "r": r,
-                            "i": i,
-                            "value": v if not isinstance(v, tuple) else repr(v),
-                            "accept_ordinal": idx,
-                        }
-                    )
+    for (t, r, i), (v, idx) in sorted(cells.items()):
+        recs.append({"rec": "cell", "t": t, "r": r, "i": i, "value": v, "accept_ordinal": idx})
     return recs
 
 
-def check_views(handlers, params, *, boards=None) -> list:
-    """Pairwise finalized-view checks: bounded disagreement with one blank
-    side, plus the full-column count per finalizer."""
-    violations = []
-    finalized = [(h.pid, h.board) for h in handlers if h.board.done_t >= 1]
-    for pid, board in finalized:
-        for t in range(1, board.done_t + 1):
-            view = board.views[t]
-            if len(view.full_columns(t)) < params.n - params.f:
-                violations.append(f"board {t}: finalizer {pid} sees fewer than n-f full columns")
+def check_views(views, f) -> dict:
+    """Finalized-view checks over ``{pid: {t: FinalView}}``, the views of the
+    processes that count: every view of board t has n-f full columns, and two
+    finalizers' views of their common boards never hold two values for one
+    cell and differ in at most f cells.  Violations by verdict name."""
+    full, disagree = [], []
+    finalized = [(pid, by_t) for pid, by_t in views.items() if by_t]
+    for pid, by_t in finalized:
+        for t, view in by_t.items():
+            if len(view.full_columns(t)) < view.n - f:
+                full.append(f"board {t}: finalizer {pid} sees fewer than n-f full columns")
     for a in range(len(finalized)):
         for b in range(a + 1, len(finalized)):
             pid_a, ba = finalized[a]
             pid_b, bb = finalized[b]
-            t_common = min(ba.done_t, bb.done_t)
-            va, vb = ba.views[t_common], bb.views[t_common]
+            t_common = min(max(ba), max(bb))
+            va, vb = ba[t_common], bb[t_common]
             diffs = 0
             for t in range(1, t_common + 1):
-                for i in range(params.n):
-                    for r in range(1, params.m + 1):
+                for i in range(va.n):
+                    for r in range(1, va.m + 1):
                         x, y = va.value(t, r, i), vb.value(t, r, i)
                         if x != y:
                             if x is not None and y is not None:
-                                violations.append(
+                                disagree.append(
                                     f"cell ({t},{r},{i}): conflicting values at {pid_a}/{pid_b}"
                                 )
                             diffs += 1
-            if diffs > params.f:
-                violations.append(
-                    f"views {pid_a}/{pid_b} disagree in {diffs} cells (> f={params.f})"
-                )
-    return violations
+            if diffs > f:
+                disagree.append(f"views {pid_a}/{pid_b} disagree in {diffs} cells (> f={f})")
+    return {"full-columns": full, "view-disagreement": disagree}
+
+
+def check_broadcast(accept_logs):
+    """Reliable-broadcast agreement and FIFO order over ``{pid: [(origin,
+    seq, payload)]}``, the accept logs of the processes that count.  Returns
+    the violations by verdict name, and the pids that accepted each
+    instance ``(origin, seq)``."""
+    fifo, agreement = [], []
+    by_instance = {}
+    for pid, log in accept_logs.items():
+        seen = {}
+        for origin, seq, payload in log:
+            by_instance.setdefault((origin, seq), {}).setdefault(repr(payload), set()).add(pid)
+            prev = seen.get(origin, 0)
+            if seq != prev + 1:
+                fifo.append(f"fifo: process {pid} accepted {origin}:{seq} after {prev}")
+            seen[origin] = seq
+    accepted_by = {}
+    for (origin, seq), payloads in by_instance.items():
+        if len(payloads) > 1:
+            agreement.append(f"agreement: ({origin},{seq}) accepted with {len(payloads)} payloads")
+        accepted_by[origin, seq] = set().union(*payloads.values())
+    return {"broadcast-agreement": agreement, "broadcast-fifo": fifo}, accepted_by
 
 
 def run_blackboard_once(cfg: ExperimentConfig, seed: int) -> dict:
@@ -371,7 +356,9 @@ def run_blackboard_once(cfg: ExperimentConfig, seed: int) -> dict:
         return bool(pool) and all(h.finished for h in pool)
 
     result = run(world, strategy, stop, max_events)
-    violations = check_views(handlers, params)
+    good = [h for h in handlers if h.pid not in world.corrupted]
+    found = check_views({h.pid: h.board.views for h in good}, params.f)
+    violations = found["full-columns"] + found["view-disagreement"]
     finalizers = sum(1 for h in handlers if h.board.done_t >= boards)
     rec = {
         "seed": seed,
@@ -429,31 +416,24 @@ def run_broadcast_fuzz_once(cfg: ExperimentConfig, seed: int) -> dict:
     world = WorldState(params, handlers, record_trace=cfg.trace)
     result = run(world, strategy, None, cfg.max_events)
     good = [h for h in handlers if h.pid not in world.corrupted]
-    violations = []
-    by_instance = {}
-    for h in good:
-        seen = {}
-        for origin, seq, payload in h.rb.accepted_log:
-            by_instance.setdefault((origin, seq), {}).setdefault(repr(payload), set()).add(h.pid)
-            prev = seen.get(origin, 0)
-            if seq != prev + 1:
-                violations.append(f"fifo: process {h.pid} accepted {origin}:{seq} after {prev}")
-            seen[origin] = seq
-    for (origin, seq), payloads in by_instance.items():
-        if len(payloads) > 1:
-            violations.append(f"agreement: ({origin},{seq}) accepted with {len(payloads)} payloads")
-        accepted_by = set().union(*payloads.values())
-        if result.stopped == "quiescent" and len(accepted_by) != len(good):
-            violations.append(f"totality: ({origin},{seq}) accepted by {len(accepted_by)}/{len(good)}")
-    return {
+    found, accepted_by = check_broadcast({h.pid: h.rb.accepted_log for h in good})
+    violations = found["broadcast-fifo"] + found["broadcast-agreement"]
+    if result.stopped == "quiescent":  # totality needs a run that has settled
+        for (origin, seq), pids in accepted_by.items():
+            if len(pids) != len(good):
+                violations.append(f"totality: ({origin},{seq}) accepted by {len(pids)}/{len(good)}")
+    rec = {
         "seed": seed,
         "mode": cfg.mode,
-        "instances": len(by_instance),
+        "instances": len(accepted_by),
         "events": result.events,
         "stopped": result.stopped,
         "equivocations": sum(len(h.rb.equivocations) for h in good),
         "violations": violations,
     }
+    if cfg.trace:
+        rec["trace"] = _trace_records(world, handlers)
+    return rec
 
 
 def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
@@ -614,20 +594,42 @@ class Verdict:
     ok: bool
     detail: str = ""
     first_violation: int = -1
+    seed: int | None = None  # the run whose trace it judges, in a metrics file
 
 
 def verify_trace(records, f=None) -> list:
-    """Run every invariant checkable from an exported trace bundle; returns a
-    list of Verdicts (skipped invariants are omitted)."""
-    header = next((r for r in records if r.get("rec") == "header"), None)
-    if f is None and header is not None:
-        f = header.get("f")
-    events = [r for r in records if r.get("rec") == "event"]
-    accepts = [r for r in records if r.get("rec") == "accept"]
-    decides = [r for r in records if r.get("rec") == "decide"]
-    inputs = {r["pid"]: r["value"] for r in records if r.get("rec") == "input"}
-    cells = [r for r in records if r.get("rec") == "cell"]
-    finals = [r for r in records if r.get("rec") == "final"]
+    """Verdicts on an exported trace: a bare bundle of trace records, or a
+    metrics file whose run records carry one under ``trace`` (as ``run
+    --trace --out`` writes), each verdict then labelled with its run's seed.
+    ``f`` comes from the argument, else from the run record (a sweep tags it
+    there), else from the header; a verdict that needs an unknown f is
+    omitted."""
+    header = next((r for r in records if r.get("rec") == "header"), {})
+    runs = [r for r in records if "trace" in r]
+    if not runs:
+        return _verify_bundle(records, header.get("f") if f is None else f)
+    return [
+        replace(v, seed=run.get("seed"))
+        for run in runs
+        for v in _verify_bundle(run["trace"], run.get("f", header.get("f")) if f is None else f)
+    ]
+
+
+def _named(found):
+    return [Verdict(name, not v, detail=v[0] if v else "") for name, v in found.items()]
+
+
+def _verify_bundle(records, f):
+    """The checks only a trace allows (no forged delivery, the fault budget,
+    the weight-loss invariant), then the runners' own checkers on the inputs
+    rebuilt from the trace, over every process the trace does not show
+    corrupted."""
+    by_kind = {}
+    for r in records:
+        by_kind.setdefault(r.get("rec"), []).append(r)
+    events, accepts = by_kind.get("event", []), by_kind.get("accept", [])
+    decides, finals = by_kind.get("decide", []), by_kind.get("final", [])
+    corrupted = {ev["src"] for ev in events if ev["kind"] == "corrupt"}
     out = []
 
     if events:
@@ -653,31 +655,7 @@ def verify_trace(records, f=None) -> list:
             out.append(Verdict("fault-budget", over_budget < 0,
                                detail=f"{corrupts} corruptions, f={f}", first_violation=over_budget))
 
-    if accepts:
-        payloads = {}
-        fifo_ok = True
-        seen = {}
-        for r in accepts:
-            payloads.setdefault((r["origin"], r["seq"]), set()).add(r["payload"])
-            key = (r["pid"], r["origin"])
-            if r["seq"] != seen.get(key, 0) + 1:
-                fifo_ok = False
-            seen[key] = r["seq"]
-        agree_ok = all(len(v) == 1 for v in payloads.values())
-        out.append(Verdict("broadcast-agreement", agree_ok))
-        out.append(Verdict("broadcast-fifo", fifo_ok))
-
-    if decides:
-        values = {r["value"] for r in decides}
-        out.append(Verdict("bracha-agreement", len(values) <= 1))
-        if inputs and len(set(inputs.values())) == 1:
-            want = next(iter(set(inputs.values())))
-            out.append(Verdict("bracha-validity", values <= {want}))
-        its = [r["iteration"] for r in decides]
-        if its:
-            out.append(Verdict("decision-lag", max(its) - min(its) <= 1))
-
-    weight_recs = [r for r in records if r.get("rec") == "weights"]
+    weight_recs = by_kind.get("weights", [])
     if weight_recs:
         ok = True
         first = -1
@@ -689,25 +667,30 @@ def verify_trace(records, f=None) -> list:
                 break
         out.append(Verdict("weight-loss-invariant", ok, first_violation=first))
 
-    if cells and finals:
-        store = {(r["t"], r["r"], r["i"]): r["value"] for r in cells}
-        bars = {}
+    if accepts:
+        logs = {}
+        for r in accepts:
+            if r["pid"] not in corrupted:
+                logs.setdefault(r["pid"], []).append((r["origin"], r["seq"], r["payload"]))
+        out += _named(check_broadcast(logs)[0])
+
+    if decides:
+        inputs = {r["pid"]: r["value"] for r in by_kind.get("input", [])}
+        good = sorted((inputs.keys() | {r["pid"] for r in decides}) - corrupted)
+        decisions = {r["pid"]: DecisionRecord(r["pid"], r["iteration"], r["value"]) for r in decides}
+        verdict = check_agreement(inputs, decisions, good)
+        out.append(Verdict("bracha-agreement", verdict.agreement_ok))
+        if verdict.validity_ok is not None:
+            out.append(Verdict("bracha-validity", verdict.validity_ok))
+        out.append(Verdict("decision-lag", verdict.lag_ok))
+
+    if finals and f is not None:
+        store = {(r["t"], r["r"], r["i"]): r["value"] for r in by_kind.get("cell", [])}
+        m = max((r for _t, r, _i in store), default=0)
+        views = {}
         for r in finals:
-            bars.setdefault(r["pid"], {})[r["t"]] = [tuple(p) for p in r["lastbar"]]
-        pids = sorted(bars)
-        worst = 0
-        for a in range(len(pids)):
-            for b in range(a + 1, len(pids)):
-                ta, tb = max(bars[pids[a]]), max(bars[pids[b]])
-                t_common = min(ta, tb)
-                va, vb = bars[pids[a]][t_common], bars[pids[b]][t_common]
-                diffs = 0
-                for (t, r, i), _v in store.items():
-                    ina = (t, r) <= va[i]
-                    inb = (t, r) <= vb[i]
-                    if ina != inb:
-                        diffs += 1
-                worst = max(worst, diffs)
-        ok = True if f is None else worst <= f
-        out.append(Verdict("view-disagreement", ok, detail=f"max {worst} cells"))
+            if r["pid"] not in corrupted:
+                bar = tuple(tuple(p) for p in r["lastbar"])
+                views.setdefault(r["pid"], {})[r["t"]] = FinalView(r["t"], bar, store, len(bar), m)
+        out += _named(check_views(views, f))
     return out

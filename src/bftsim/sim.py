@@ -195,37 +195,6 @@ class WorldState:
                 )
 
 
-class AdversaryView:
-    """Full-information snapshot facade: every process state, all buffers,
-    all past coin flips.  Future randomness stays inside per-process
-    generators and is not exposed."""
-
-    def __init__(self, world: WorldState):
-        self._world = world
-
-    @property
-    def n(self):
-        return self._world.params.n
-
-    @property
-    def params(self):
-        return self._world.params
-
-    @property
-    def clock(self):
-        return self._world.clock
-
-    @property
-    def corrupted(self):
-        return frozenset(self._world.corrupted)
-
-    def handler(self, pid):
-        return self._world.handlers[pid]
-
-    def out_queue(self, src, dst):
-        return tuple(pair[1] for pair, _ in self._world.out_bufs[src][dst])
-
-
 @dataclass
 class RunResult:
     events: int
@@ -275,7 +244,6 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
     The stop predicate is polled every ``_STOP_STRIDE`` events (stop conditions
     are persistent, so a short overshoot is harmless and saves the scan)."""
     strategy.setup(world)
-    view = AdversaryView(world)
     params = world.params
     n, f, window_limit = params.n, params.f, params.fairness_window
     handlers, corrupted, started = world.handlers, world.corrupted, world.started
@@ -315,7 +283,7 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
             corrupt = False
             if corruption_due is not None:
                 world.clock = clock
-                pid = corruption_due(view)
+                pid = corruption_due(world)
                 corrupt = pid is not None
             if not corrupt:
                 unstarted = ()

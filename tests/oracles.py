@@ -199,10 +199,9 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
     below 0.25 or when nothing else is pending, each falling back on the
     others.  A candidate is drawn uniformly, redrawn on refusal up to six
     times, then drawn among every candidate that passes."""
-    from bftsim.sim import _STOP_STRIDE, COMPUTE, CORRUPT, DELIVER, AdversaryView, RunResult
+    from bftsim.sim import _STOP_STRIDE, COMPUTE, CORRUPT, DELIVER, RunResult
 
     strategy.setup(world)
-    view = AdversaryView(world)
     rng = strategy.rng
     n = world.params.n
     ttl = 0
@@ -228,7 +227,7 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
                 ttl = strategy.rotate()
             ttl -= 1
         if strategy._corrupts:
-            pid = strategy._corruption_due(view)
+            pid = strategy._corruption_due(world)
             if pid is not None:
                 return (CORRUPT, pid)
         unstarted = ()

@@ -121,7 +121,7 @@ class _JunkSender(Strategy):
         self._to_corrupt = [0]
         self._sent = False
 
-    def _corruption_due(self, view):
+    def _corruption_due(self, world):
         return self._to_corrupt.pop() if self._to_corrupt else None
 
     def corrupted_compute(self, world, pid, inbox):

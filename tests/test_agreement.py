@@ -361,19 +361,20 @@ def test_golden_weight_path_digest():
 
 def test_check_agreement_flags_divergence():
     decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 1, -1)}
-    v = check_agreement({0: 1, 1: 1}, decisions, [0, 1], finished=True)
-    assert not v.agreement_ok and not v.safe
+    v = check_agreement({0: 1, 1: 1}, decisions, [0, 1])
+    assert not v.agreement_ok
+    assert "agreement: good processes decided different values" in v.violations
 
 
 def test_check_agreement_validity():
     decisions = {0: DecisionRecord(0, 1, -1), 1: DecisionRecord(1, 1, -1)}
-    v = check_agreement({0: 1, 1: 1}, decisions, [0, 1], finished=True)
-    assert v.agreement_ok and not v.validity_ok
+    v = check_agreement({0: 1, 1: 1}, decisions, [0, 1])
+    assert v.agreement_ok and v.validity_ok is False
 
 
 def test_check_agreement_lag():
     decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 3, 1)}
-    v = check_agreement({0: 1, 1: -1}, decisions, [0, 1], finished=True)
+    v = check_agreement({0: 1, 1: -1}, decisions, [0, 1])
     assert not v.lag_ok
 
 
@@ -381,15 +382,25 @@ def test_check_agreement_lag_with_undecided_process():
     # the lag is checked across the good processes that decided, even when
     # another good process has not decided yet
     decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 4, 1)}
-    v = check_agreement({0: 1, 1: -1, 2: 1}, decisions, [0, 1, 2], finished=False)
-    assert not v.lag_ok and not v.all_decided
+    v = check_agreement({0: 1, 1: -1, 2: 1}, decisions, [0, 1, 2])
+    assert not v.lag_ok
     assert "decision lag 3 > 1" in v.violations
 
 
-def test_check_agreement_nontermination_not_safety():
-    v = check_agreement({0: 1, 1: -1}, {}, [0, 1], finished=False)
-    assert v.agreement_ok and v.validity_ok and v.lag_ok
-    assert any("non-termination" in s for s in v.violations)
+def test_check_agreement_judges_safety_only():
+    # no decision yet is no safety violation: liveness is the runner's to judge
+    v = check_agreement({0: 1, 1: -1}, {}, [0, 1])
+    assert v.agreement_ok and v.lag_ok and v.violations == []
+    assert v.validity_ok is None  # mixed inputs: validity does not apply
+    assert check_agreement({0: 1, 1: 1}, {}, [0, 1]).validity_ok is True
+
+
+def test_bracha_record_reports_non_termination_without_a_violation():
+    # the runner says an undecided run did not finish, and files no violation
+    cfg = _bracha_cfg(n=4, f=1, adversary="honest-random", inputs="mixed", max_events=200)
+    rec = run_bracha_once(cfg, 0)
+    assert rec["stopped"] == "max-events" and not rec["decided"]
+    assert rec["violations"] == [] and rec["validity_ok"] is True
 
 
 def test_epoch_advance_identity_under_thresholds():

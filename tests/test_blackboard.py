@@ -19,6 +19,11 @@ def test_lex_max_identical_vectors():
     assert lex_max([a, a, a]) == a
 
 
+def _view_violations(handlers, f):
+    found = check_views({h.pid: h.board.views for h in handlers}, f)
+    return found["full-columns"] + found["view-disagreement"]
+
+
 def _finished_world(n=4, f=1, m=2, boards=2, seed=0, adversary="honest-random", max_events=400_000, **adv):
     params = ProtocolParams(n=n, f=f, m=m, T=16)
     handlers = [BlackboardProcess(pid, params, seed, boards=boards) for pid in range(n)]
@@ -46,7 +51,7 @@ def test_honest_run_everyone_finalizes():
 
 def test_views_agree_in_honest_runs():
     params, handlers, _, _ = _finished_world(seed=1)
-    assert check_views(handlers, params) == []
+    assert _view_violations(handlers, params.f) == []
 
 
 def test_column_prefix_property():
@@ -105,7 +110,7 @@ def test_fuzzed_schedules_bounded_disagreement():
         params, handlers, _, result = _finished_world(
             n=4, f=1, m=3, boards=2, seed=seed, adversary="fuzz", max_events=600_000
         )
-        violations = check_views(handlers, params)
+        violations = _view_violations(handlers, params.f)
         assert violations == [], f"seed {seed}: {violations}"
 
 
@@ -116,7 +121,7 @@ def test_crash_stop_still_completes_boards():
     )
     live = [h for h in handlers if h.pid not in world.corrupted]
     assert all(h.board.done_t >= 2 for h in live)
-    assert check_views(live, params) == []
+    assert _view_violations(live, params.f) == []
 
 
 def test_gate_rejects_malformed_payloads():
@@ -132,6 +137,21 @@ def test_gate_rejects_malformed_payloads():
     assert h.board.gate(1, ("write", 1, 1, -1))
     assert not h.board.gate(1, ("write", 1, 1, "x"))  # coin writes carry +-1 only
     assert not h.board.gate(1, ("write", 1, 1, 2))
+
+
+def test_gate_rejects_coin_write_past_row_m():
+    # once writer 1's row m has n-f acks, a write to row m+1 must not open
+    # the gate: good processes would store and ack a cell outside the board
+    params = ProtocolParams(n=4, f=1, m=2, T=16)
+    h = BlackboardProcess(0, params, seed=0, boards=1)
+    for r in range(params.m):
+        for s in range(3):
+            h.board.on_accept(s, ("ack", 1, r, 1))  # n-f acks for rows 0..m-1
+    assert h.board.gate(1, ("write", 1, params.m, 1))
+    for s in range(3):
+        h.board.on_accept(s, ("ack", 1, params.m, 1))
+    assert not h.board.gate(1, ("write", 1, params.m + 1, 1))
+    assert not h.board.gate(1, ("write", 1, params.m + 1, -1))
 
 
 def test_never_sentinel_orders_below_real_positions():

@@ -372,3 +372,225 @@ def test_golden_untraced_digest(name, seed, kwargs, want):
     rec, state, _ = run_captured(make_config(seeds=[seed], **kwargs), seed, run)
     assert "trace" not in rec
     assert hashlib.sha256(repr((rec, state)).encode()).hexdigest() == want, name
+
+
+# -- online and offline verdicts ----------------------------------------------
+
+_TRACED_MODES = {
+    "bracha-local": dict(mode="bracha", n=5, f=1, m=4, T=16, coin="local", inputs="mixed",
+                         max_iterations=4),
+    "bracha-blackboard": dict(mode="bracha", n=5, f=1, m=4, T=16, coin="blackboard",
+                              inputs="mixed", max_iterations=3),
+    "blackboard": dict(mode="blackboard", n=5, f=1, m=4, T=16, boards=2),
+    "broadcast-fuzz": dict(mode="broadcast-fuzz", n=5, f=1),
+    "game": dict(mode="game", n=9, f=2, m=8, T=32, epochs=2),
+}
+
+# the verdicts each mode's trace must give, besides what its strategy adds
+_MODE_VERDICTS = {
+    "bracha-local": {"no-forgery", "fault-budget", "broadcast-agreement", "broadcast-fifo"},
+    "bracha-blackboard": {"no-forgery", "fault-budget", "broadcast-agreement", "broadcast-fifo"},
+    "blackboard": {"no-forgery", "fault-budget", "broadcast-agreement", "broadcast-fifo",
+                   "full-columns", "view-disagreement"},
+    "broadcast-fuzz": {"no-forgery", "fault-budget", "broadcast-agreement", "broadcast-fifo"},
+    "game": {"weight-loss-invariant"},
+}
+
+
+def _mode_strategies():
+    from bftsim.harness import adversary_catalog
+
+    for mode, kwargs in sorted(_TRACED_MODES.items()):
+        for adversary in sorted(adversary_catalog(kwargs["mode"])):
+            yield mode, adversary
+
+
+@pytest.mark.parametrize("mode, adversary", list(_mode_strategies()))
+def test_online_and_offline_verdicts_agree(mode, adversary):
+    # the runner's record and verify_trace on the record's trace judge with
+    # the same checkers over the same processes, so they must agree
+    cfg = make_config(adversary=adversary, seeds=[1, 2], trace=True, max_events=200_000,
+                      **_TRACED_MODES[mode])
+    records = run_experiment(cfg)
+    verdicts = verify_trace([header_record(cfg)] + records)
+    for rec in records:
+        mine = [v for v in verdicts if v.seed == rec["seed"]]
+        names = {v.name for v in mine}
+        assert _MODE_VERDICTS[mode] <= names, (rec["seed"], names)
+        if any(r["rec"] == "decide" for r in rec["trace"]):
+            assert {"bracha-agreement", "decision-lag"} <= names
+        # totality is liveness: only the runner judges it, at quiescence
+        safety = [v for v in rec["violations"] if not v.startswith("totality")]
+        assert (not safety) == all(v.ok for v in mine), (rec, mine)
+
+
+def _captured_run(monkeypatch, seed, **kwargs):
+    """One traced run: its record and the world it leaves behind."""
+    from bftsim import harness
+
+    seen = {}
+    real = harness.run
+
+    def capture(world, strategy, stop=None, max_events=1_000_000):
+        seen["world"] = world
+        return real(world, strategy, stop, max_events)
+
+    monkeypatch.setattr(harness, "run", capture)
+    rec = run_experiment(make_config(seeds=[seed], trace=True, **kwargs))[0]
+    good = [h for h in seen["world"].handlers if h.pid not in seen["world"].corrupted]
+    return rec, good
+
+
+def _failed(trace, f, name):
+    verdicts = {v.name: v for v in verify_trace(trace, f=f)}
+    return name in verdicts and not verdicts[name].ok
+
+
+def test_injected_accept_faults_fail_both_checks(monkeypatch):
+    from bftsim.harness import check_broadcast
+
+    rec, good = _captured_run(monkeypatch, 1, mode="broadcast-fuzz", n=5, f=1)
+    assert not rec["violations"] and not _failed(rec["trace"], 1, "broadcast-agreement")
+    pid = good[0].pid
+    logs = {h.pid: list(h.rb.accepted_log) for h in good}
+    mine = [k for k, r in enumerate(rec["trace"]) if r["rec"] == "accept" and r["pid"] == pid]
+
+    # one accept payload changed
+    changed = {**logs, pid: [(*logs[pid][0][:2], ("forged",))] + logs[pid][1:]}
+    assert check_broadcast(changed)[0]["broadcast-agreement"]
+    trace = [dict(r) for r in rec["trace"]]
+    trace[mine[0]]["payload"] = repr(("forged",))
+    assert _failed(trace, 1, "broadcast-agreement")
+
+    # two accepts of one pid swapped: seq 2 of an origin before its seq 1
+    a = next(k for k, (o, s, _) in enumerate(logs[pid]) if s == 1)
+    b = next(k for k, (o, s, _) in enumerate(logs[pid]) if s == 2 and o == logs[pid][a][0])
+    swapped = list(logs[pid])
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    assert check_broadcast({**logs, pid: swapped})[0]["broadcast-fifo"]
+    trace = list(rec["trace"])
+    trace[mine[a]], trace[mine[b]] = trace[mine[b]], trace[mine[a]]
+    assert _failed(trace, 1, "broadcast-fifo")
+
+
+def test_injected_decision_faults_fail_both_checks(monkeypatch):
+    from bftsim.agreement import DecisionRecord, check_agreement
+
+    # seed 0: inputs -1,-1,-1,1,1, process 4 crashes, everyone else decides 1
+    rec, good = _captured_run(monkeypatch, 0, mode="bracha", n=5, f=1, m=4, T=16, coin="local",
+                              inputs="random", adversary="crash-stop")
+    inputs = {h.pid: h.initial for h in good}
+    decisions = {h.pid: DecisionRecord(h.pid, h.decided_iteration, h.decided) for h in good}
+    pids = sorted(inputs)
+    assert rec["corrupted"] == [4] and {d.value for d in decisions.values()} == {1}
+    assert check_agreement(inputs, decisions, pids).violations == []
+    assert not rec["violations"] and all(v.ok for v in verify_trace(rec["trace"], f=1))
+
+    # one decide value flipped
+    flipped = dict(decisions)
+    flipped[0] = DecisionRecord(0, decisions[0].iteration, -1)
+    assert not check_agreement(inputs, flipped, pids).agreement_ok
+    trace = [dict(r, value=-1) if r["rec"] == "decide" and r["pid"] == 0 else r
+             for r in rec["trace"]]
+    assert _failed(trace, 1, "bracha-agreement")
+
+    # good process 3's input flipped: the good inputs become unanimously -1
+    assert check_agreement({**inputs, 3: -1}, decisions, pids).validity_ok is False
+    trace = [dict(r, value=-1) if r["rec"] == "input" and r["pid"] == 3 else r
+             for r in rec["trace"]]
+    assert _failed(trace, 1, "bracha-validity")
+
+
+def test_injected_view_fault_fails_both_checks(monkeypatch):
+    from bftsim.blackboard import FinalView
+    from bftsim.harness import check_views
+
+    # the starved process never writes, so its column is blank in every view
+    rec, good = _captured_run(monkeypatch, 1, mode="blackboard", n=5, f=1, m=4, T=16, boards=2,
+                              adversary="starve-subset")
+    views = {h.pid: dict(h.board.views) for h in good}
+    blank = next(h.pid for h in good if not h.board.views)
+    finalizers = [h for h in good if h.board.views]
+    assert not rec["violations"] and len(finalizers) >= 4
+    # lengthen the bar of the earliest finisher on its last board by f+1 cells
+    h = min(finalizers, key=lambda h: h.board.done_t)
+    t = h.board.done_t
+    bar = list(h.board.lastbar[t])
+    assert bar[blank] < (t, 1)
+    bar[blank] = (t, 2)
+    extra = {(t, r, blank): 1 for r in (1, 2)}
+    views[h.pid][t] = FinalView(t, tuple(bar), {**h.board.cells, **extra}, 5, 4)
+    assert check_views(views, 1)["view-disagreement"]
+    trace = [dict(r, lastbar=[list(p) for p in bar]) if r["rec"] == "final"
+             and (r["pid"], r["t"]) == (h.pid, t) else r for r in rec["trace"]]
+    trace += [{"rec": "cell", "t": t, "r": r, "i": blank, "value": 1} for r in (1, 2)]
+    assert _failed(trace, 1, "view-disagreement")
+
+
+def test_verify_judges_validity_over_uncorrupted_inputs():
+    # good inputs are all 1, corrupted process 3 had -1, and every good
+    # process decides -1: validity is violated, whatever process 3's input
+    records = [{"rec": "event", "ordinal": 1, "kind": "corrupt", "src": 3, "dst": -1, "digest": ""}]
+    records += [{"rec": "input", "pid": pid, "value": 1 if pid < 3 else -1} for pid in range(4)]
+    records += [{"rec": "decide", "pid": pid, "iteration": 1, "value": -1} for pid in range(3)]
+    verdicts = {v.name: v for v in verify_trace(records, f=1)}
+    assert not verdicts["bracha-validity"].ok
+    assert verdicts["bracha-agreement"].ok and verdicts["decision-lag"].ok
+
+
+def test_verify_omits_view_verdicts_when_f_is_unknown():
+    # two finalizers whose bars differ in 3 cells: that is more than f=2, and
+    # with f unknown it cannot be judged, so no view verdict is reported
+    n, m = 7, 2
+    cells = [{"rec": "cell", "t": 1, "r": r, "i": i, "value": 1}
+             for i in range(n) for r in range(1, m + 1)]
+    full = [[1, m]] * n
+    short = full[:5] + [[1, 1], [1, 0]]
+    finals = [{"rec": "final", "pid": 0, "t": 1, "lastbar": full},
+              {"rec": "final", "pid": 1, "t": 1, "lastbar": short}]
+    names = {v.name for v in verify_trace(cells + finals)}
+    assert not names & {"view-disagreement", "full-columns"}
+    verdicts = {v.name: v for v in verify_trace(cells + finals, f=2)}
+    assert not verdicts["view-disagreement"].ok and verdicts["full-columns"].ok
+    assert "disagree in 3 cells" in verdicts["view-disagreement"].detail
+
+
+def test_cli_verify_reads_run_trace_out_files(tmp_path):
+    out = tmp_path / "run.ndjson"
+    res = _cli("run", "--mode", "bracha", "--n", "4", "--f", "1", "--coin", "local",
+               "--seeds", "3,5", "--inputs", "mixed", "--trace", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    res = _cli("verify", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "PASS bracha-agreement seed=3" in res.stdout
+    assert "PASS fault-budget seed=5" in res.stdout  # f from the header
+
+    lines = out.read_text().splitlines()
+    run = json.loads(lines[2])
+    decide = next(r for r in run["trace"] if r["rec"] == "decide")
+    decide["value"] = -decide["value"]
+    lines[2] = json.dumps(run)
+    flipped = tmp_path / "flipped.ndjson"
+    flipped.write_text("\n".join(lines) + "\n")
+    res = _cli("verify", str(flipped))
+    assert res.returncode == 1
+    assert "FAIL bracha-agreement seed=5" in res.stdout
+    assert "FAIL bracha-agreement seed=3" not in res.stdout
+
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("")
+    res = _cli("verify", str(empty))
+    assert res.returncode != 0 and "no verdict" in res.stderr
+
+
+def test_verify_takes_f_from_a_sweep_record():
+    # a sweep over f tags each record with its f; the header has none
+    cfg = make_config(mode="bracha", n=7, f=2, coin="local", adversary="crash-stop",
+                      seeds=[1], inputs="mixed", trace=True)
+    rec = dict(f=2, **run_experiment(cfg)[0])
+    assert sum(r["rec"] == "event" and r["kind"] == "corrupt" for r in rec["trace"]) == 2
+    header = {"schema": "bftsim-metrics-1", "rec": "header", "mode": "bracha", "grid": {"f": [1, 2]}}
+    budget = [v for v in verify_trace([header, rec]) if v.name == "fault-budget"]
+    assert [(v.ok, v.seed) for v in budget] == [(True, 1)]
+    budget = [v for v in verify_trace([header, dict(rec, f=1)]) if v.name == "fault-budget"]
+    assert [(v.ok, v.seed) for v in budget] == [(False, 1)]

@@ -8,7 +8,6 @@ from bftsim.sim import (
     COMPUTE,
     CORRUPT,
     DELIVER,
-    AdversaryView,
     FairnessViolation,
     InapplicableEvent,
     WorldState,
@@ -139,15 +138,6 @@ def test_snapshot_does_not_predetermine_future_flips():
     for _ in range(3):
         fork_b.apply((COMPUTE, 0))
     assert fork_a.handlers[0].rolls == fork_b.handlers[0].rolls[: len(fork_a.handlers[0].rolls)]
-
-
-def test_snapshot_view_fields():
-    world, _ = _world()
-    view = AdversaryView(world)
-    assert view.n == 3
-    assert view.corrupted == frozenset()
-    world.apply((COMPUTE, 0))
-    assert view.out_queue(0, 1) == (("hello", 0),)
 
 
 def test_fairness_violation_detected():
