@@ -51,7 +51,7 @@ def achievable_column_sum(target: float, m: int, sigma: int):
     return raw, last
 
 
-_FLIP_BLOCK = 1024  # flips drawn per refill: about 8 kB of list per process
+_FLIP_BLOCK = 1024  # flips drawn per refill: 8 kB of array per process
 
 
 class FlipStream:
@@ -70,20 +70,25 @@ class FlipStream:
     guarantees by keeping the process generators private.
     """
 
-    __slots__ = ("_rng", "_cum", "_pos")
+    __slots__ = ("_rng", "_flips", "_cum", "_pos")
 
     def __init__(self, rng):
         self._rng = rng
-        self._cum = [0]  # prefix sums of the drawn flips; only differences are read
-        self._pos = 0  # flips of the block already taken
+        self._flips = np.zeros(0, dtype=np.int64)  # drawn flips; _flips[_pos:] are untaken
+        self._cum = None  # prefix sums of _flips, built when ``take`` first reads them
+        self._pos = 0
 
     def take(self, length):
         start = self._pos
         end = start + length
         cum = self._cum
-        if end >= len(cum):  # refill: the untaken flips, then a fresh block
-            fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, length)) * 2 - 1
-            cum = self._cum = cum[start:-1] + list(accumulate(fresh.tolist(), initial=cum[-1]))
+        if cum is None or end >= len(cum):  # the untaken flips, and a fresh block if short
+            flips = self._flips[start:]
+            if length > len(flips):
+                fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, length)) * 2 - 1
+                flips = np.concatenate((flips, fresh))
+            self._flips = flips
+            cum = self._cum = list(accumulate(flips.tolist(), initial=0))
             start, end = 0, length
         self._pos = end
         return cum[end] - cum[start], cum[end] - cum[end - 1]
@@ -93,13 +98,12 @@ class FlipStream:
         last flips, as two arrays of ``rows`` values.  A refill draws what the
         block lacks, or a whole block if that is more."""
         need = rows * length
-        flips = np.diff(self._cum[self._pos:])  # the untaken flips
+        flips = self._flips[self._pos:]
         if need > len(flips):
             fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, need - len(flips))) * 2 - 1
             flips = np.concatenate((flips, fresh))
         cols = flips[:need].reshape(rows, length)
-        self._cum = list(accumulate(flips[need:].tolist(), initial=0))
-        self._pos = 0
+        self._flips, self._cum, self._pos = flips[need:], None, 0
         return cols.sum(axis=1), cols[:, -1]
 
 

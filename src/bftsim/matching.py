@@ -14,6 +14,14 @@ step-size minimum.  Only the capacities the raise reads are made exact: those
 of positive-capacity edges and of the vertices they touch.  A graph without
 such an edge (most excess graphs after the first epoch) skips exact
 arithmetic altogether.
+
+A step costs the live vertices plus what freezes in it, not every live edge.
+Each live vertex keeps the level at which it saturates, (c_v - base) / deg,
+recomputed only when a freeze changes its frozen mass or degree; the finite
+edge caps are sorted once and walked in order.  Still exact: "the vertex is
+saturated at this level" and "its saturation level is at most this level"
+are the same rational inequality, so the steps are those of raising every
+live edge by the same delta.
 """
 from __future__ import annotations
 
@@ -84,13 +92,15 @@ class FractionalMatching:
     def value(self, i, j):
         return self.mu.get(_canon(i, j), 0)
 
-    def saturation(self, i):
-        """Sum of incident edge values, counting a self-loop once."""
-        total = 0
+    def saturations(self):
+        """Every vertex's sum of incident edge values, counting a self-loop
+        once, in one pass over ``mu`` in its order."""
+        sat = [0] * self.n
         for (a, b), v in self.mu.items():
-            if a == i or b == i:
-                total += v
-        return total
+            sat[a] += v
+            if b != a:
+                sat[b] += v
+        return sat
 
     def iter_edges(self):
         return self.mu.items()
@@ -138,78 +148,93 @@ def rising_tide(g: CapacitatedGraph):
     active = [e for e, cap in g.c_e.items() if cap > 0]
     if not active:
         return FractionalMatching(g.n, mu, []), DependencyGraph(g.n, set())
-    caps = {e: _to_exact(g.c_e[e]) for e in active}
+    caps = [_to_exact(g.c_e[e]) for e in active]
     deg = [0] * g.n
-    for i, j in active:
+    incident = [[] for _ in range(g.n)]  # edge indices into active, in c_e order
+    for k, (i, j) in enumerate(active):
         deg[i] += 1
+        incident[i].append(k)
         if j != i:
             deg[j] += 1
-    touched = [i for i in range(g.n) if deg[i]]  # no other vertex is ever read
+            incident[j].append(k)
+    live = [i for i in range(g.n) if deg[i]]  # no other vertex is ever read
     c_v = [None] * g.n
-    for i in touched:
+    sat_level = [None] * g.n  # the level at which a live vertex saturates: (c_v - base) / deg
+    for i in live:
         c_v[i] = _to_exact(g.c_v[i])
+        sat_level[i] = c_v[i] if c_v[i] is INF else c_v[i] / deg[i]
     base = [zero] * g.n  # frozen incident mass per vertex
+    # finite caps in increasing order: a float is exactly its Fraction, so the
+    # given capacities sort as the exact ones do, without exact comparisons
+    by_cap = sorted((k for k in range(len(active)) if caps[k] is not INF),
+                    key=lambda k: g.c_e[active[k]])
+    done = [False] * len(active)
+    next_cap = 0  # by_cap[:next_cap] are frozen
 
     level = zero
     steps = []
     dep_edges = set()
     step_no = 0
-    while active:
-        delta = None
-        for i, j in active:
-            cap = caps[(i, j)]
-            if cap is not INF:
-                cand = cap - level
-                if delta is None or cand < delta:
-                    delta = cand
-        for i in touched:
-            if deg[i]:
-                cand = (c_v[i] - base[i] - deg[i] * level) / deg[i]
-                if delta is None or cand < delta:
-                    delta = cand
-        if delta is None:  # every constraint infinite; cannot happen with finite c_v
+    while live:
+        # level + max(0, delta) of the plain raise is max(level, the smallest
+        # live edge cap or vertex saturation level), exactly
+        while next_cap < len(by_cap) and done[by_cap[next_cap]]:
+            next_cap += 1
+        low = caps[by_cap[next_cap]] if next_cap < len(by_cap) else None
+        for i in live:
+            if low is None or sat_level[i] < low:
+                low = sat_level[i]
+        if low is None:  # cannot happen: every live vertex has a level, maybe inf
             raise AssertionError("unbounded raise")
-        if delta < zero:
-            delta = zero
-        level = level + delta
-
-        sat_v = set()
-        for i in touched:
-            if deg[i] and c_v[i] - (base[i] + deg[i] * level) <= zero:
-                sat_v.add(i)
-        sat_e = set()
-        for e in active:
-            cap = caps[e]
-            if cap is not INF and cap - level <= zero:
-                sat_e.add(e)
-
-        frozen = []
-        still = []
-        for e in active:
-            i, j = e
-            if e in sat_e or i in sat_v or j in sat_v:
-                frozen.append(e)
-            else:
-                still.append(e)
-        if not frozen:
-            # the constraint that set delta saturates exactly: cannot happen
+        if low is INF:  # only infinite vertices bound the raise: nothing ever saturates
             raise AssertionError("no progress in rising tide step")
-        for e in frozen:
+        if low > level:
+            level = low
+
+        sat_e = []
+        frozen = []
+        while next_cap < len(by_cap):
+            k = by_cap[next_cap]
+            if not done[k]:
+                if caps[k] > level:
+                    break
+                done[k] = True
+                sat_e.append(active[k])
+                frozen.append(k)
+            next_cap += 1
+        sat_v = [i for i in live if sat_level[i] <= level]
+        for i in sat_v:
+            for k in incident[i]:
+                if not done[k]:
+                    done[k] = True
+                    frozen.append(k)
+        frozen.sort()  # c_e order
+
+        saturated = set(sat_v)
+        hit = set()
+        for k in frozen:
+            e = active[k]
             i, j = e
             mu[e] = level
             deg[i] -= 1
             base[i] += level
+            hit.add(i)
             if j != i:
                 deg[j] -= 1
                 base[j] += level
-            if i in sat_v and i != j:
-                dep_edges.add((j, i))
-            if j in sat_v and i != j:
-                dep_edges.add((i, j))
-        active = still
-        steps.append(
-            FreezeStep(step_no, level, tuple(frozen), tuple(sorted(sat_v)), tuple(sorted(sat_e)))
-        )
+                hit.add(j)
+                if i in saturated:
+                    dep_edges.add((j, i))
+                if j in saturated:
+                    dep_edges.add((i, j))
+        for i in hit:
+            if deg[i] and c_v[i] is not INF:
+                sat_level[i] = (c_v[i] - base[i]) / deg[i]
+        live = [i for i in live if deg[i]]
+        # from a list: tuple() of a generator over-allocates, then shrinks, and
+        # the shrunk tuples made the process's memory grow call after call
+        frozen_edges = tuple([active[k] for k in frozen])
+        steps.append(FreezeStep(step_no, level, frozen_edges, tuple(sat_v), tuple(sorted(sat_e))))
         step_no += 1
 
     return FractionalMatching(g.n, mu, steps), DependencyGraph(g.n, dep_edges)
@@ -219,15 +244,12 @@ def check_feasible(g: CapacitatedGraph, matching: FractionalMatching, tol=1e-9) 
     for e, v in matching.iter_edges():
         if v < -tol or v > g.c_e.get(e, 0) + tol:
             return False
-    for i in range(g.n):
-        if matching.saturation(i) > g.c_v[i] + tol:
-            return False
-    return True
+    return not any(s > cap + tol for s, cap in zip(matching.saturations(), g.c_v))
 
 
 def check_maximal(g: CapacitatedGraph, matching: FractionalMatching, tol=1e-9) -> bool:
     """No edge with residual edge capacity may have both endpoints unsaturated."""
-    sat = [matching.saturation(i) >= g.c_v[i] - tol for i in range(g.n)]
+    sat = [s >= cap - tol for s, cap in zip(matching.saturations(), g.c_v)]
     for e, cap in g.c_e.items():
         i, j = e
         if matching.value(i, j) < cap - tol and not sat[i] and not sat[j]:
@@ -269,13 +291,8 @@ def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
 
 def weight_update_local(weights, matching: FractionalMatching):
     """Dock every vertex by its saturation level; results stay in [0, 1]."""
-    sat = [0] * len(weights)  # every vertex's saturation, in one pass over mu
-    for (a, b), v in matching.mu.items():
-        sat[a] += v
-        if b != a:
-            sat[b] += v
     out = []
-    for w, s in zip(weights, sat):
+    for w, s in zip(weights, matching.saturations()):
         nw = float(w - s)
         if nw < 0:
             nw = 0.0  # float dust only; feasibility bounds saturation by w
@@ -314,10 +331,8 @@ def lipschitz_defect(g: CapacitatedGraph, h: CapacitatedGraph):
     mg, _ = rising_tide(g)
     mh, _ = rising_tide(h)
     lhs = 0
-    for i in range(g.n):
-        rg = _to_exact(g.c_v[i]) - mg.saturation(i)
-        rh = _to_exact(h.c_v[i]) - mh.saturation(i)
-        lhs += abs(rg - rh)
+    for cg, sg, ch, sh in zip(g.c_v, mg.saturations(), h.c_v, mh.saturations()):
+        lhs += abs((_to_exact(cg) - sg) - (_to_exact(ch) - sh))
     eta_v = sum(abs(_to_exact(g.c_v[i]) - _to_exact(h.c_v[i])) for i in range(g.n))
     eta_e = 0
     for e in set(g.c_e) | set(h.c_e):

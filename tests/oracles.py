@@ -361,7 +361,11 @@ def reference_weight_update_local(weights, matching):
     saturation: one scan of the matching per vertex."""
     out = []
     for i, w in enumerate(weights):
-        nw = float(w - matching.saturation(i))
+        saturation = 0  # the vertex's incident values, a self-loop once
+        for (a, b), v in matching.mu.items():
+            if a == i or b == i:
+                saturation += v
+        nw = float(w - saturation)
         if nw < 0:
             nw = 0.0
         out.append(nw)

@@ -43,17 +43,19 @@ def test_criterion_01_broadcast_safety_fuzz():
     t0 = time.time()
     cfg = make_config(mode="broadcast-fuzz", n=4, f=1, m=4, T=16,
                       adversary="equivocator", seeds=[0])
-    bad_runs = []
+    bad_runs, not_total = [], []
     for seed in range(1000):
         rec = run_broadcast_fuzz_once(cfg, seed)
         if rec["violations"]:
             bad_runs.append((seed, rec["violations"]))
+        if rec["total"] is not True:
+            not_total.append(seed)
     elapsed = time.time() - t0
-    ok = not bad_runs and elapsed < 60
+    ok = not bad_runs and not not_total and elapsed < 60
     _report(
         "criterion-01 broadcast-safety",
         ok,
-        f"violations {len(bad_runs)}/1000, {elapsed:.1f}s (< 60s)",
+        f"violations {len(bad_runs)}/1000, not total {len(not_total)}/1000, {elapsed:.1f}s (< 60s)",
     )
 
 

@@ -199,3 +199,4 @@ def test_malformed_wire_message_does_not_crash_a_run(monkeypatch, mode, wire):
     else:
         # every good process accepted both broadcasts of every good origin
         assert rec["stopped"] == "quiescent" and rec["instances"] == 2 * (cfg.n - 1)
+        assert rec["total"] is True

@@ -189,6 +189,7 @@ def test_criterion1_style_fuzz_small():
     for seed in range(30):
         rec = run_broadcast_fuzz_once(cfg, seed)
         assert rec["violations"] == []
+        assert rec["total"] is True
 
 
 # -- validation ledger --------------------------------------------------------

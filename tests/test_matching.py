@@ -34,7 +34,7 @@ def test_triangle_unit_capacities():
     g = CapacitatedGraph(3, [1.0, 1.0, 1.0], {(0, 1): INF, (1, 2): INF, (0, 2): INF})
     m, _ = rising_tide(g)
     assert all(v == Fraction(1, 2) for v in m.mu.values())
-    assert all(m.saturation(i) == 1 for i in range(3))
+    assert m.saturations() == [1, 1, 1]
 
 
 def test_path_saturates_middle_vertex():
@@ -42,7 +42,7 @@ def test_path_saturates_middle_vertex():
     m, deps = rising_tide(g)
     assert m.value(0, 1) == Fraction(1, 4)
     assert m.value(1, 2) == Fraction(1, 4)
-    assert m.saturation(1) == Fraction(1, 2)
+    assert m.saturations() == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
     assert deps.edges == {(0, 1), (2, 1)}  # both freezes blamed on the middle vertex
 
 
@@ -50,6 +50,7 @@ def test_self_loop_counts_once():
     g = CapacitatedGraph(1, [1.0], {(0, 0): INF})
     m, _ = rising_tide(g)
     assert m.value(0, 0) == 1
+    assert m.saturations() == [1]
 
 
 def test_zero_edge_capacities_give_empty_matching():
@@ -290,3 +291,89 @@ def test_fixture_roundtrip():
     g2 = parse_graph(text)
     assert g2.n == g.n and g2.c_v == g.c_v and g2.c_e == g.c_e
     assert "inf" in text
+
+
+# -- the raise at the benchmark's scale --------------------------------------
+
+
+def _raise_matches_reference(g):
+    got, got_deps = rising_tide(g)
+    want, want_deps = reference_rising_tide(g)
+    assert list(got.mu.items()) == list(want.mu.items())
+    assert got.steps == want.steps
+    assert got_deps.edges == want_deps.edges
+    return got
+
+
+def _stress_graph(rng, n):
+    """The benchmark's stress shape: vertex capacities in [0, 1), an edge on
+    each pair with probability 0.55 and a self-loop with probability 0.35,
+    each infinite with probability 0.15 and otherwise in [0, 0.6)."""
+    c_v = [rng.uniform(0, 1) for _ in range(n)]
+    c_e = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < (0.35 if i == j else 0.55):
+                c_e[(i, j)] = INF if rng.random() < 0.15 else rng.uniform(0, 0.6)
+    return CapacitatedGraph(n, c_v, c_e)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_rising_tide_matches_reference_on_stress_graphs(n):
+    import random
+
+    rng = random.Random(f"stress/{n}")
+    steps = 0
+    for _ in range(6):
+        steps += len(_raise_matches_reference(_stress_graph(rng, n)).steps)
+    assert steps > 6 * n // 2  # many freeze steps, not one big tie
+
+
+@pytest.mark.parametrize("n, f", [(9, 2), (20, 4), (40, 9)])
+def test_rising_tide_matches_reference_on_game_excess_graphs(monkeypatch, n, f):
+    # the f-clique graphs a seeded colluding game hands to epoch_advance
+    from bftsim import agreement
+    from bftsim.game import GameConfig, run_game
+
+    graphs = []
+    real = agreement.build_excess_graph
+
+    def capture(*args):
+        graphs.append(real(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(agreement, "build_excess_graph", capture)
+    params = ProtocolParams(n=n, f=f, eps=0.5, m=8, T=256, c=1)
+    run_game(GameConfig(params=params, adversary="colluding", epochs=5, seed=3,
+                        record_series=False))
+    cliques = [g for g in graphs if any(cap > 0 for cap in g.c_e.values())]
+    assert cliques and all(len(g.c_e) == f * (f - 1) // 2 for g in cliques)
+    for g in graphs:
+        _raise_matches_reference(g)
+
+
+def test_rising_tide_matches_reference_with_tied_caps_and_infinite_vertices():
+    import random
+
+    rng = random.Random("ties")
+    for k in range(40):
+        g = _stress_graph(rng, 12 if k % 2 else 20)
+        tie = rng.choice([0.0625, 0.25, 0.5])  # every finite edge cap equal
+        tied = {e: cap if cap is INF else tie for e, cap in g.c_e.items()}
+        _raise_matches_reference(CapacitatedGraph(g.n, g.c_v, tied))
+        # half the vertices saturate at the tie level too, unless an incident
+        # edge froze first: one step freezes by cap and by vertex at once
+        deg = [0] * g.n
+        for i, j in tied:
+            deg[i] += 1
+            deg[j] += j != i
+        c_v = [tie * d if rng.random() < 0.5 else cap for d, cap in zip(deg, g.c_v)]
+        _raise_matches_reference(CapacitatedGraph(g.n, c_v, tied))
+        # a third of the vertices unbounded; every other constraint finite
+        c_v = [INF if rng.random() < 0.33 else cap for cap in g.c_v]
+        finite = {e: tie if cap is INF else cap for e, cap in g.c_e.items()}
+        _raise_matches_reference(CapacitatedGraph(g.n, c_v, finite))
+    # only unbounded vertices and infinite edges: nothing can saturate (the
+    # reference, which has no progress check, would loop forever here)
+    with pytest.raises(AssertionError, match="no progress"):
+        rising_tide(CapacitatedGraph(3, [INF, 1.0, INF], {(0, 2): INF, (1, 1): 0.0}))
