@@ -55,11 +55,13 @@ class Strategy:
     it may replace ``blocked``.  Subclasses that corrupt override
     ``_corruption_due(world)``, which returns the pid to corrupt next or
     None; it is consulted before every event only for them, with
-    ``world.clock`` current.
+    ``world.clock`` current.  ``starved`` are the processes the schedule
+    never runs and ``slowed`` those it runs only under refusal; a subclass
+    replaces these sets, never changes them in place.
     """
 
     name = "honest-random"
-    blocked = frozenset()
+    blocked = starved = slowed = frozenset()
     block_compute = block_deliver = 1.0
     rotate = None
 

@@ -307,7 +307,6 @@ class ValidationLedger:
         self.counts = {}  # r -> {value: count of validated}
         self.totals = {}  # r -> count of validated
         self.pending = {}  # r -> set of q with unvalidated claims
-        self.witness = {}  # (q, r) -> (prev-round counts, total) at validation time
 
     def validated_count(self, r) -> int:
         return self.totals.get(r, 0)
@@ -336,7 +335,6 @@ class ValidationLedger:
         if not self.justify(r, value, prev_value, counts, total):
             return False
         self.validated[(q, r)] = value
-        self.witness[(q, r)] = (dict(counts), total)
         c = self.counts.setdefault(r, {})
         c[value] = c.get(value, 0) + 1
         self.totals[r] = self.totals.get(r, 0) + 1

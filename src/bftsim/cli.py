@@ -49,7 +49,6 @@ def _add_common(parser: argparse.ArgumentParser):
     )
     parser.add_argument("--mode")
     parser.add_argument("--coin", choices=["local", "blackboard"])
-    parser.add_argument("--stop")
     parser.add_argument("--inputs")
     parser.add_argument("--boards", type=int)
     parser.add_argument("--epochs", type=int)

@@ -10,7 +10,7 @@ import json
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .adversary import make_strategy
 from .agreement import BlackboardProcess, BrachaProcess, DecisionRecord, check_agreement
@@ -27,13 +27,6 @@ SCHEMA = "bftsim-metrics-1"
 MODES = ("bracha", "blackboard", "broadcast-fuzz", "game", "simplified-game")
 COINS = ("local", "blackboard")
 INPUTS = ("mixed", "random", "unanimous+1", "unanimous-1")
-STOP_FORMS = ("max-events", "epoch-limit", "boards")  # each as "form:K"
-
-# The stop predicates rebuild their lists of live handlers only when the
-# corruptions or a strategy's starved or slowed set change.  Corruptions are
-# never undone, so their count tells, and strategies replace those sets
-# instead of changing them in place.
-_NO_PIDS = frozenset()
 
 
 def adversary_catalog(mode):
@@ -43,20 +36,6 @@ def adversary_catalog(mode):
     if mode == "simplified-game":
         return _adversary.SIMPLE_ADVERSARIES
     return _adversary.STRATEGIES
-
-
-def parse_stop(stop):
-    """``(form, K)`` for a ``form:K`` stop spec, or ``("decided-all", None)``."""
-    stop = stop or "decided-all"
-    if stop == "decided-all":
-        return stop, None
-    form, _, k = stop.partition(":")
-    try:
-        if form in STOP_FORMS:
-            return form, int(k)
-    except ValueError:
-        pass
-    raise ConfigInvalid(f"unknown stop condition {stop!r}; forms: decided-all, {':K, '.join(STOP_FORMS)}:K")
 
 
 @dataclass
@@ -74,7 +53,6 @@ class ExperimentConfig:
     adversary: str = "honest-random"
     adversary_args: dict = field(default_factory=dict)
     seeds: list = field(default_factory=lambda: [0])
-    stop: str = "decided-all"
     max_events: int = 2_000_000
     boards: int = 2
     epochs: int = 1
@@ -96,7 +74,6 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{self.mode} {name} must be one of {sorted(known)}, got {value!r}")
         if self.epochs < 1 or self.boards < 1:
             raise ConfigInvalid(f"need epochs >= 1 and boards >= 1, got {self.epochs} and {self.boards}")
-        parse_stop(self.stop)
         weighted = (self.mode == "bracha" and self.coin == "blackboard") or self.mode == "game"
         if weighted and self.f > 0 and 4 * self.f >= self.n:
             raise ConfigInvalid(f"weighted-coin runs need f < n/4 (n={self.n}, f={self.f})")
@@ -162,21 +139,42 @@ def make_config(**kwargs) -> ExperimentConfig:
 # -- single-run drivers -----------------------------------------------------
 
 
-def apply_stop_condition(cfg: ExperimentConfig):
-    """Translate the declarative stop spec into run bounds.
+def _run_mode(cfg, seed, world, done, **defaults):
+    """Run a built world under ``cfg.adversary``, whose arguments are the
+    mode's ``defaults`` overridden by ``cfg.adversary_args``, until
+    ``done(active, steady)`` holds, the world is quiescent or
+    ``cfg.max_events`` have passed.  ``active`` are the handlers neither
+    corrupted nor starved and ``steady`` those of them not slowed; with
+    ``done=None`` the run goes on to quiescence or the budget.  Returns the
+    strategy and the ``RunResult``."""
+    strategy = make_strategy(cfg.adversary, seed, **{**defaults, **cfg.adversary_args})
+    stop = None
+    if done is not None:
+        key = lists = None
 
-    Forms: ``decided-all`` (default), ``max-events:N``, ``epoch-limit:K``
-    (at most K epochs' worth of iterations), ``boards:K`` (blackboard mode).
-    """
-    form, k = parse_stop(cfg.stop)
-    max_events, max_iterations, boards = cfg.max_events, cfg.max_iterations, cfg.boards
-    if form == "max-events":
-        max_events = k
-    elif form == "epoch-limit":
-        max_iterations = k * (cfg.T if cfg.T else cfg.params().T)
-    elif form == "boards":
-        boards = k
-    return max_events, max_iterations, boards
+        def stop(w):
+            nonlocal key, lists
+            # the lists are rebuilt only when the corruptions or the starved
+            # or slowed set change: corruptions are never undone, so their
+            # count tells, and strategies replace those sets instead of
+            # changing them in place
+            starved, slowed = strategy.starved, strategy.slowed
+            if key != (len(w.corrupted), starved, slowed):
+                key = (len(w.corrupted), starved, slowed)
+                active = [h for h in w.handlers if h.pid not in w.corrupted and h.pid not in starved]
+                lists = active, [h for h in active if h.pid not in slowed]
+            return done(*lists)
+
+    return strategy, run(world, strategy, stop, cfg.max_events)
+
+
+def _record(cfg, seed, world, own, inputs=None, decisions=None):
+    """A message-level run's record: its seed and mode, the mode's own
+    fields ``own``, and its trace when ``cfg.trace`` asks for one."""
+    rec = {"seed": seed, "mode": cfg.mode, **own}
+    if cfg.trace:
+        rec["trace"] = _trace_records(world, inputs, decisions)
+    return rec
 
 
 def _derive_inputs(cfg, seed, n):
@@ -203,22 +201,14 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
     world_ref = weakref.ref(world)  # the world holds the handlers: no cycle back
     for h in handlers:
         h.clock = lambda: world_ref().clock
-    strategy = make_strategy(cfg.adversary, seed, **cfg.adversary_args)
-    max_events, max_iterations, _ = apply_stop_condition(cfg)
-    starved = _NO_PIDS
-    key = active = None
 
-    def stop(w):
-        nonlocal starved, key, active
-        starved = getattr(strategy, "starved", _NO_PIDS)
-        if key != (len(w.corrupted), starved):  # see _NO_PIDS
-            key = (len(w.corrupted), starved)
-            active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
+    def done(active, _steady):
         if active and all(h.decided is not None for h in active):
             return True
-        return any(h.iteration > max_iterations for h in active)
+        return any(h.iteration > cfg.max_iterations for h in active)
 
-    result = run(world, strategy, stop, max_events)
+    strategy, result = _run_mode(cfg, seed, world, done)
+    starved = strategy.starved
     good = [pid for pid in range(params.n) if pid not in world.corrupted]
     decisions = {
         h.pid: DecisionRecord(h.pid, h.decided_iteration, h.decided, h.decided_ordinal)
@@ -228,9 +218,7 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
     live = [pid for pid in good if pid not in starved]
     finished = bool(live) and all(pid in decisions for pid in live)
     verdict = check_agreement(dict(enumerate(inputs)), decisions, good)
-    rec = {
-        "seed": seed,
-        "mode": cfg.mode,
+    return _record(cfg, seed, world, {
         "decided": finished,
         "decide_iter_min": min((d.iteration for d in decisions.values()), default=-1),
         "decide_iter_max": max((d.iteration for d in decisions.values()), default=-1),
@@ -244,13 +232,10 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
         "violations": verdict.violations,
         "corrupted": sorted(world.corrupted),
         "starved": sorted(starved),
-    }
-    if cfg.trace:
-        rec["trace"] = _trace_records(world, handlers, inputs, decisions)
-    return rec
+    }, inputs, decisions)
 
 
-def _trace_records(world, handlers, inputs=None, decisions=None):
+def _trace_records(world, inputs=None, decisions=None):
     """A run as trace records: its events, then the inputs and decisions,
     every process's accepts and final bars, and the coin cells (rows 1..m)
     each at its first accept."""
@@ -262,7 +247,7 @@ def _trace_records(world, handlers, inputs=None, decisions=None):
         recs.append({"rec": "decide", "pid": d.pid, "iteration": d.iteration, "value": d.value,
                      "event_ordinal": d.event_ordinal})
     cells = {}
-    for h in handlers:
+    for h in world.handlers:
         board = getattr(h, "board", None)
         for idx, (origin, seq, payload) in enumerate(h.rb.accepted_log):
             recs.append({"rec": "accept", "pid": h.pid, "origin": origin, "seq": seq,
@@ -335,59 +320,40 @@ def check_broadcast(accept_logs):
 
 def run_blackboard_once(cfg: ExperimentConfig, seed: int) -> dict:
     params = cfg.params()
-    max_events, _, boards = apply_stop_condition(cfg)
     handlers = [
-        BlackboardProcess(pid, params, seed, boards=boards) for pid in range(params.n)
+        BlackboardProcess(pid, params, seed, boards=cfg.boards) for pid in range(params.n)
     ]
     world = WorldState(params, handlers, record_trace=cfg.trace)
-    strategy = make_strategy(cfg.adversary, seed, **cfg.adversary_args)
 
-    key = pool = None
-
-    def stop(w):
-        nonlocal key, pool
-        starved = getattr(strategy, "starved", _NO_PIDS)
-        slowed = getattr(strategy, "slowed", _NO_PIDS)
-        if key != (len(w.corrupted), starved, slowed):  # see _NO_PIDS
-            key = (len(w.corrupted), starved, slowed)
-            active = [h for h in handlers if h.pid not in w.corrupted and h.pid not in starved]
-            steady = [h for h in active if h.pid not in slowed]
-            pool = steady if len(steady) >= params.n - params.f else active
+    def done(active, steady):
+        pool = steady if len(steady) >= params.n - params.f else active
         return bool(pool) and all(h.finished for h in pool)
 
-    result = run(world, strategy, stop, max_events)
+    result = _run_mode(cfg, seed, world, done)[1]
     good = [h for h in handlers if h.pid not in world.corrupted]
     found = check_views({h.pid: h.board.views for h in good}, params.f)
-    violations = found["full-columns"] + found["view-disagreement"]
-    finalizers = sum(1 for h in handlers if h.board.done_t >= boards)
-    rec = {
-        "seed": seed,
-        "mode": cfg.mode,
-        "finalizers": finalizers,
+    return _record(cfg, seed, world, {
+        "finalizers": sum(1 for h in handlers if h.board.done_t >= cfg.boards),
         "events": result.events,
         "chain_depth": result.chain_depth,
         "stopped": result.stopped,
-        "violations": violations,
-    }
-    if cfg.trace:
-        rec["trace"] = _trace_records(world, handlers)
-    return rec
+        "violations": found["full-columns"] + found["view-disagreement"],
+    })
 
 
 class AcceptCollector:
     """Bare reliable-broadcast endpoint used by the broadcast fuzz."""
 
-    def __init__(self, pid, params, payload_count=2):
+    def __init__(self, pid, params):
         self.pid = pid
         self.n = params.n
         self.rb = RBNode(pid, params)
         self.admits = self.rb.admits
-        self.payload_count = payload_count
         self.started_flag = False
 
     def on_start(self):
         self.started_flag = True
-        for k in range(1, self.payload_count + 1):
+        for k in (1, 2):
             self.rb.broadcast(("data", self.pid, k))
         return self._flush()
 
@@ -410,30 +376,22 @@ class AcceptCollector:
 def run_broadcast_fuzz_once(cfg: ExperimentConfig, seed: int) -> dict:
     params = cfg.params()
     handlers = [AcceptCollector(pid, params) for pid in range(params.n)]
-    args = dict(cfg.adversary_args)
-    args.setdefault("target", seed % params.n)
-    strategy = make_strategy(cfg.adversary, seed, **args)
     world = WorldState(params, handlers, record_trace=cfg.trace)
-    result = run(world, strategy, None, cfg.max_events)
+    strategy, result = _run_mode(cfg, seed, world, None, target=seed % params.n)
     good = [h for h in handlers if h.pid not in world.corrupted]
     found, accepted_by = check_broadcast({h.pid: h.rb.accepted_log for h in good})
     # totality is liveness, judged over the processes the schedule runs, and
     # only in a run that has settled
-    live = {h.pid for h in good} - getattr(strategy, "starved", _NO_PIDS)
+    live = {h.pid for h in good} - strategy.starved
     total = result.stopped == "quiescent" and all(live <= pids for pids in accepted_by.values())
-    rec = {
-        "seed": seed,
-        "mode": cfg.mode,
+    return _record(cfg, seed, world, {
         "instances": len(accepted_by),
         "events": result.events,
         "stopped": result.stopped,
         "total": total,
         "equivocations": sum(len(h.rb.equivocations) for h in good),
         "violations": found["broadcast-fifo"] + found["broadcast-agreement"],
-    }
-    if cfg.trace:
-        rec["trace"] = _trace_records(world, handlers)
-    return rec
+    })
 
 
 def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
@@ -528,8 +486,7 @@ _RUNNERS = {
 }
 
 
-def _run_seed(cfg_dict, seed):
-    cfg = ExperimentConfig(**cfg_dict)
+def _run_seed(cfg, seed):
     return _RUNNERS[cfg.mode](cfg, seed)
 
 
@@ -539,14 +496,9 @@ def run_experiment(cfg: ExperimentConfig):
     seeds = sorted(cfg.seeds)
     threads = int(os.environ.get("BF_THREADS", "1") or "1")
     if threads > 1 and len(seeds) > 1:
-        cfg_dict = asdict(cfg)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_seed, [cfg_dict] * len(seeds), seeds))
-    else:
-        runner = _RUNNERS[cfg.mode]
-        records = [runner(cfg, seed) for seed in seeds]
-    records.sort(key=lambda r: r["seed"])
-    return records
+            return list(pool.map(_run_seed, [cfg] * len(seeds), seeds))
+    return [_run_seed(cfg, seed) for seed in seeds]
 
 
 def header_record(cfg: ExperimentConfig) -> dict:

@@ -102,9 +102,6 @@ class FractionalMatching:
                 sat[b] += v
         return sat
 
-    def iter_edges(self):
-        return self.mu.items()
-
 
 @dataclass
 class DependencyGraph:
@@ -184,8 +181,6 @@ def rising_tide(g: CapacitatedGraph):
         for i in live:
             if low is None or sat_level[i] < low:
                 low = sat_level[i]
-        if low is None:  # cannot happen: every live vertex has a level, maybe inf
-            raise AssertionError("unbounded raise")
         if low is INF:  # only infinite vertices bound the raise: nothing ever saturates
             raise AssertionError("no progress in rising tide step")
         if low > level:
@@ -241,7 +236,7 @@ def rising_tide(g: CapacitatedGraph):
 
 
 def check_feasible(g: CapacitatedGraph, matching: FractionalMatching, tol=1e-9) -> bool:
-    for e, v in matching.iter_edges():
+    for e, v in matching.mu.items():
         if v < -tol or v > g.c_e.get(e, 0) + tol:
             return False
     return not any(s > cap + tol for s, cap in zip(matching.saturations(), g.c_v))
@@ -341,30 +336,3 @@ def lipschitz_defect(g: CapacitatedGraph, h: CapacitatedGraph):
             continue
         eta_e += abs(_to_exact(a) - _to_exact(b))
     return lhs, eta_v + 2 * eta_e
-
-
-def dump_graph(g: CapacitatedGraph) -> str:
-    lines = [str(g.n)]
-    for i, cap in enumerate(g.c_v):
-        lines.append(f"V {i} {'inf' if cap is INF else cap}")
-    for (i, j), cap in sorted(g.c_e.items()):
-        lines.append(f"E {i} {j} {'inf' if cap is INF else cap}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> CapacitatedGraph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n = int(lines[0])
-    c_v = [0.0] * n
-    c_e = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "V":
-            c_v[int(parts[1])] = INF if parts[2] == "inf" else float(parts[2])
-        elif parts[0] == "E":
-            i, j = int(parts[1]), int(parts[2])
-            c_e[_canon(i, j)] = INF if parts[3] == "inf" else float(parts[3])
-        else:
-            raise ValueError(f"bad fixture line: {ln!r}")
-    return CapacitatedGraph(n, c_v, c_e)
-

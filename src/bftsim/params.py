@@ -6,7 +6,7 @@ pure function of the fields here, so a frozen instance pins an entire run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 def sgn(x) -> int:
@@ -99,9 +99,6 @@ class ProtocolParams:
     def w_min(self) -> float:
         """Weight floor: entries at or below this round down to zero."""
         return self._w_min
-
-    def with_overrides(self, **kw) -> "ProtocolParams":
-        return replace(self, **kw)
 
 
 def clamp_coin_sum(x: float, x_max: float) -> float:

@@ -36,9 +36,17 @@ def euler_matching(graphs, step=1e-6, max_level=None):
     finite_caps = [c for _, c_e in graphs for c in c_e.values() if c is not INF]
     top = max([c for c_v, _ in graphs for c in c_v] + finite_caps + [0.0])
     limit = int(math.ceil((max_level if max_level is not None else top) / step)) + 2
+    out = np.zeros((b, n, n))
+    rows = np.arange(b)  # the graphs still in the batch, by their place in ``graphs``
     for _ in range(limit):
-        if not active.any():
-            break
+        running = active.any(axis=(1, 2))
+        if not running.all():
+            # a finished graph's increment is all zero, so stepping it would
+            # change nothing: take it out of the batch
+            out[rows[~running]] = mu[~running]
+            rows, mu, ce, cv, active = (x[running] for x in (rows, mu, ce, cv, active))
+            if not rows.size:
+                break
         inc = step * active
         mu += np.triu(inc) + np.triu(inc, 1).transpose(0, 2, 1)
         np.minimum(mu, ce, out=mu)
@@ -47,7 +55,8 @@ def euler_matching(graphs, step=1e-6, max_level=None):
         sat_e = mu >= ce - 1e-12
         kill = sat_e | sat_v[:, :, None] | sat_v[:, None, :]
         active &= ~kill
-    return [mu[k] for k in range(b)]
+    out[rows] = mu
+    return [out[k] for k in range(b)]
 
 
 def brute_force_maximal_check(c_v, c_e, mu, tol=1e-7):
@@ -313,6 +322,8 @@ def reference_rising_tide(g):
                 cand = (c_v[i] - base[i] - deg[i] * level) / deg[i]
                 if delta is None or cand < delta:
                     delta = cand
+        if delta == INF:  # only infinite constraints are live: nothing ever saturates
+            raise AssertionError("no progress in rising tide step")
         if delta < zero:
             delta = zero
         level = level + delta

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -42,7 +43,7 @@ def test_defaults_overridable_and_floor():
     p = ProtocolParams(n=5, f=1)
     assert p.m >= 8 and p.T >= 16
     assert p.fairness_window == 10 * 25
-    q = p.with_overrides(m=4, T=32)
+    q = replace(p, m=4, T=32)
     assert (q.m, q.T) == (4, 32)
 
 
@@ -66,11 +67,11 @@ def test_clamp_maps_to_nearest_endpoint():
 
 def test_derived_values_follow_overrides_and_stay_out_of_identity():
     p = ProtocolParams(n=9, f=2, eps=0.5, m=8, T=256, c=1)
-    q = p.with_overrides(T=1024)
+    q = replace(p, T=1024)
     # recomputed, with the formula the docstring states
     assert q.alpha_T == q.m * (q.T + math.sqrt(q.T * (q.c * math.log(q.n)) ** 3))
     assert q.alpha_T > p.alpha_T and q.w_min < p.w_min
-    assert q.with_overrides(T=256).alpha_T == p.alpha_T
+    assert replace(q, T=256).alpha_T == p.alpha_T
     # equality, hash and repr see the fields alone
     twin = ProtocolParams(n=9, f=2, eps=0.5, m=8, T=256, c=1)
     assert twin == p and hash(twin) == hash(p) and twin != q
