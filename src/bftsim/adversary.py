@@ -14,34 +14,6 @@ import weakref
 from .broadcast import INIT, ECHO, READY
 
 
-def counteract_bad_values(sigma, good_sum, bad_weights, x_max, m, slack=0.0):
-    """Column-sum targets for corrupted writers.
-
-    When the observed weighted good sum already has sign sigma the targets pad
-    to (near) zero; otherwise they push toward sigma until the weighted bad
-    sum covers the deficit, saturating at the per-column cap when the deficit
-    is out of reach.
-    """
-    cap = min(float(m), x_max)
-    deficit = -sigma * good_sum - slack
-    targets = []
-    if deficit <= 0:
-        pad = 1.0 if m % 2 else 0.0  # full columns of odd length cannot sum to 0
-        for idx in range(len(bad_weights)):
-            targets.append(pad if idx % 2 == 0 else -pad)
-        return targets
-    remaining = deficit
-    for idx, w in enumerate(bad_weights):
-        if remaining > 0 and w > 0:
-            take = min(cap, remaining / w)
-            targets.append(sigma * take)
-            remaining -= w * take
-        else:
-            pad = 1.0 if m % 2 else 0.0
-            targets.append(pad if idx % 2 == 0 else -pad)
-    return targets
-
-
 class Strategy:
     """Base scheduling strategy: uniform-ish fair interleaving, no corruption.
 
@@ -52,25 +24,26 @@ class Strategy:
     ``rng.random()``, except at probability 1.0, which refuses without a
     draw.  A subclass that defines ``rotate`` has it called before the first
     event and again each time the number of events it returned has passed;
-    it may replace ``blocked``.  Subclasses that corrupt override
-    ``_corruption_due(world)``, which returns the pid to corrupt next or
-    None; it is consulted before every event only for them, with
-    ``world.clock`` current.  ``starved`` are the processes the schedule
-    never runs and ``slowed`` those it runs only under refusal; a subclass
-    replaces these sets, never changes them in place.
+    it may replace ``blocked``.  A subclass that corrupts sets
+    ``corruptions`` in ``setup`` to a list of ``(clock, pid)`` in the order
+    they happen; once ``world.clock`` has reached the head's clock, the
+    loop pops the head and corrupts its pid as the next event, with no
+    draw.  The loop uses the list up.  ``starved`` are the processes the
+    schedule never runs and ``slowed`` those it runs only under refusal; a
+    subclass replaces these sets, never changes them in place.
     """
 
     name = "honest-random"
     blocked = starved = slowed = frozenset()
     block_compute = block_deliver = 1.0
     rotate = None
+    corruptions = ()
 
     def __init__(self, seed=0, **opts):
         self.seed = seed
         self.opts = opts
         self.rng = random.Random(f"{seed}/adv/{self.name}")
         self.world = None
-        self._corrupts = type(self)._corruption_due is not Strategy._corruption_due
 
     def setup(self, world):
         self.world = world
@@ -80,13 +53,6 @@ class Strategy:
 
     def corrupted_compute(self, world, pid, inbox):
         return []
-
-    def _corruption_due(self, world):
-        return None
-
-
-class HonestRandom(Strategy):
-    name = "honest-random"
 
 
 class FuzzSchedule(Strategy):
@@ -117,17 +83,9 @@ class CrashStop(Strategy):
         f = world.params.f
         pids = self.rng.sample(range(world.params.n), f)
         horizon = int(self.opts.get("crash_horizon", 400))
-        self.schedule = sorted(
+        self.corruptions = sorted(
             (self.rng.randint(0, horizon), pid) for pid in pids
         )
-
-    def _corruption_due(self, world):
-        if self.schedule and world.clock >= self.schedule[0][0]:
-            return self.schedule.pop(0)[1]
-        return None
-
-    def corrupted_compute(self, world, pid, inbox):
-        return []  # drop everything: a crashed process
 
 
 class StarveSubset(Strategy):
@@ -152,12 +110,7 @@ class _ProtocolCompliantCorruption(Strategy):
     def setup(self, world):
         super().setup(world)
         self.bad = sorted(self.rng.sample(range(world.params.n), world.params.f))
-        self._to_corrupt = list(self.bad)
-
-    def _corruption_due(self, world):
-        if self._to_corrupt:
-            return self._to_corrupt.pop(0)
-        return None
+        self.corruptions = [(0, pid) for pid in self.bad]
 
     def on_corrupt(self, world, pid):
         handler = world.handlers[pid]
@@ -175,9 +128,6 @@ class _ProtocolCompliantCorruption(Strategy):
             out += handler.on_start()
         out += handler.on_compute(inbox)
         return out
-
-    def bad_value(self, world, pid, t, r):
-        return self.rng.choice((-1, 1))
 
 
 class Counteract(_ProtocolCompliantCorruption):
@@ -245,12 +195,7 @@ class Equivocator(Strategy):
     def setup(self, world):
         super().setup(world)
         self.target = int(self.opts.get("target", 0))
-        self._to_corrupt = [self.target]
-
-    def _corruption_due(self, world):
-        if self._to_corrupt:
-            return self._to_corrupt.pop(0)
-        return None
+        self.corruptions = [(0, self.target)]
 
     def corrupted_compute(self, world, pid, inbox):
         if self.sent or pid != self.target:
@@ -281,7 +226,7 @@ class Equivocator(Strategy):
 STRATEGIES = {
     cls.name: cls
     for cls in (
-        HonestRandom,
+        Strategy,
         FuzzSchedule,
         CrashStop,
         StarveSubset,
@@ -311,22 +256,22 @@ def random_bad_set(n, f, rng):
 
 class SimpleGameAdversary:
     """Opponent interface for the unweighted game: pick the bad set, commit a
-    direction each round, then fill in bad values after seeing good flips."""
+    direction each round (a fair draw, by default), then fill in bad values
+    after seeing good flips; every opponent defines ``bad_values``."""
 
-    name = "simple-base"
     pick_bad = staticmethod(random_bad_set)
 
     def direction(self, t, rng) -> int:
-        return 1
-
-    def bad_values(self, t, sigma, row, bad, rng):
-        return {i: 1 if (t + i) % 2 == 0 else -1 for i in bad}
+        return int(rng.integers(0, 2)) * 2 - 1
 
 
 class SimpleHonest(SimpleGameAdversary):
     """No bad players at all (the f slots flip fair coins)."""
 
     name = "simple-honest"
+
+    def direction(self, t, rng) -> int:
+        return 1
 
     def bad_values(self, t, sigma, row, bad, rng):
         return {i: int(rng.integers(0, 2)) * 2 - 1 for i in bad}
@@ -338,9 +283,6 @@ class SimpleCounteract(SimpleGameAdversary):
     bad players push."""
 
     name = "simple-counteract"
-
-    def direction(self, t, rng) -> int:
-        return int(rng.integers(0, 2)) * 2 - 1
 
     def bad_values(self, t, sigma, row, bad, rng):
         bad_list = sorted(bad)
@@ -369,14 +311,11 @@ class SimpleColluding(SimpleGameAdversary):
 
     name = "simple-colluding"
 
-    def direction(self, t, rng) -> int:
-        return int(rng.integers(0, 2)) * 2 - 1
-
     def bad_values(self, t, sigma, row, bad, rng):
         return {i: sigma for i in bad}
 
 
 SIMPLE_ADVERSARIES = {
     cls.name: cls
-    for cls in (SimpleHonest, SimpleCounteract, SimpleColluding, SimpleGameAdversary)
+    for cls in (SimpleHonest, SimpleCounteract, SimpleColluding)
 }

@@ -5,7 +5,8 @@ product over grid values), ``verify`` (re-check the traces in a metrics file
 or a bare trace bundle),
 ``simplified-game`` (the unweighted detection game).  A plain key=value
 config file may seed any subcommand; CLI flags override it.  BF_THREADS caps
-the worker pool.
+the worker pool.  Exit status: 1 for a safety violation or a failed
+``verify``, 2 for a bad config or usage.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .harness import (
     run_experiment,
     verify_trace,
 )
+from .params import ConfigInvalid
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -164,7 +166,11 @@ def main(argv=None) -> int:
     p_simple.set_defaults(func=cmd_simplified)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigInvalid as exc:  # a bad config, found before or during the run
+        print(f"bftsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

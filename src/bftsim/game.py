@@ -27,28 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import counteract_bad_values, random_bad_set
+from .adversary import random_bad_set
 from .agreement import epoch_advance
 from .matching import reconcile_weights
 from .params import ConfigInvalid, ProtocolParams, clamp_coin_sum, sgn
-
-
-def achievable_column_sum(target: float, m: int, sigma: int):
-    """Round a real target to a full-column sum: an integer of parity m within
-    [-m, m].  Pushes in the sigma direction never undershoot (ceil); padding
-    targets keep their sign.  Returns (raw, last_flip)."""
-    if sigma * target > 0:
-        raw = int(np.ceil(abs(target)))
-        if (raw - m) % 2:
-            raw += 1
-        raw = min(raw, m) * sigma
-    else:
-        raw = int(round(target))
-        if (raw - m) % 2:
-            raw += 1 if raw <= 0 else -1
-        raw = max(-m, min(m, raw))
-    last = 1 if raw >= 0 else -1
-    return raw, last
 
 
 _FLIP_BLOCK = 1024  # flips drawn per refill: 8 kB of array per process
@@ -157,12 +139,30 @@ class CounteractGame(GameOpponent):
         return {i: int(rng.integers(1, max(2, m))) for i in heaviest}
 
     def bad_columns(self, t, sigma, weights, good_weighted_sum, hide_gain, bad, m, x_max, rng):
-        """Raw sums and last flips for corrupted columns: {pid: (raw, last)}."""
-        order = sorted(bad)
-        targets = counteract_bad_values(
-            sigma, good_weighted_sum, [weights[i] for i in order], x_max, m, slack=hide_gain
-        )
-        return {i: achievable_column_sum(tgt, m, sigma) for i, tgt in zip(order, targets)}
+        """Raw sums and last flips for corrupted columns: {pid: (raw, last)}.
+
+        The deficit is what the good sum and the hide slack leave short of
+        sigma.  In pid order, while some deficit is left, a column of
+        positive weight w pushes toward sigma: its target is
+        ``take = min(cap, deficit / w)``, the deficit shrinks by ``w * take``,
+        and it writes ``take`` rounded up to the parity of m, capped at m.
+        Every other column pads with +-(m % 2), alternately: a full column of
+        odd length cannot sum to 0.
+        """
+        cap = min(float(m), x_max)
+        remaining = -sigma * good_weighted_sum - hide_gain
+        cols = {}
+        for idx, i in enumerate(sorted(bad)):
+            w = weights[i]
+            if remaining > 0 and w > 0:
+                take = min(cap, remaining / w)
+                remaining -= w * take
+                raw = int(np.ceil(take))
+                raw = min(raw + (raw - m) % 2, m) * sigma
+            else:
+                raw = m % 2 if idx % 2 == 0 else -(m % 2)
+            cols[i] = (raw, 1 if raw >= 0 else -1)
+        return cols
 
 
 class ColludingGame(GameOpponent):

@@ -75,8 +75,8 @@ class ExperimentConfig:
         if self.epochs < 1 or self.boards < 1:
             raise ConfigInvalid(f"need epochs >= 1 and boards >= 1, got {self.epochs} and {self.boards}")
         weighted = (self.mode == "bracha" and self.coin == "blackboard") or self.mode == "game"
-        if weighted and self.f > 0 and 4 * self.f >= self.n:
-            raise ConfigInvalid(f"weighted-coin runs need f < n/4 (n={self.n}, f={self.f})")
+        if weighted and self.f > 0:
+            self.params().require_quarter_resilience()
 
     def params(self) -> ProtocolParams:
         return ProtocolParams(**{p.name: getattr(self, p.name) for p in fields(ProtocolParams)})
@@ -458,8 +458,7 @@ def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
 def run_simplified_once(cfg: ExperimentConfig, seed: int) -> dict:
     sg = SimpleGameConfig(n=cfg.n, T=cfg.T if cfg.T else 1000, eps=cfg.eps)
     adv_cls = _adversary.SIMPLE_ADVERSARIES[cfg.adversary]
-    stop_on_loss = cfg.adversary_args.get("stop_on_loss", "false") == "true"
-    result = run_simplified_game(sg, adv_cls(), seed, stop_on_loss=stop_on_loss)
+    result = run_simplified_game(sg, adv_cls(), seed, stop_on_loss=False)
     pair = detect_pair(result.values) if result.rounds_played >= 2 else None
     contains_bad = bool(pair) and bool(set(pair) & result.bad)
     return {

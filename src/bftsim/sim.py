@@ -232,14 +232,16 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
 
     The loop picks every event and applies it in place, as ``WorldState.apply``
     would.  The pick draws from ``strategy.rng``: before anything else a
-    strategy's ``rotate`` hook when its countdown has run out, then its
-    ``_corruption_due`` when it corrupts; while some process has never
-    computed, one refusal test per unstarted process (see
-    ``Strategy.blocked``); one ``random()`` roll; then a uniform draw among
-    the candidates, retried on refusal up to six times before a draw among
-    every candidate that passes.  A quarter of the rolls start an unstarted
-    process, deliveries take the rolls below 0.7, computes the rest, and
-    each falls back on the others when it has no candidate.
+    strategy's ``rotate`` hook when its countdown has run out.  Then, with
+    no draw, it corrupts the head of ``strategy.corruptions`` once the clock
+    has reached the head's clock; ``setup`` sets that list and the loop uses
+    it up.  Otherwise, while some process has never computed, one refusal
+    test per unstarted process (see ``Strategy.blocked``); one ``random()``
+    roll; then a uniform draw among the candidates, retried on refusal up
+    to six times before a draw among every candidate that passes.  A
+    quarter of the rolls start an unstarted process, deliveries take the
+    rolls below 0.7, computes the rest, and each falls back on the others
+    when it has no candidate.
 
     The stop predicate is polled every ``_STOP_STRIDE`` events (stop conditions
     are persistent, so a short overshoot is harmless and saves the scan)."""
@@ -252,7 +254,7 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
     proc_depth, record, trace = world.proc_depth, world.record_trace, world.trace
     rng = strategy.rng
     random, getrandbits = rng.random, rng.getrandbits
-    corruption_due = strategy._corruption_due if strategy._corrupts else None
+    corruptions = strategy.corruptions
     rotate, ttl = strategy.rotate, 0
     blocked = strategy.blocked
     p_compute, p_deliver = strategy.block_compute, strategy.block_deliver
@@ -281,11 +283,9 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
                 ttl -= 1
             pid = edge = None
             corrupt = False
-            if corruption_due is not None:
-                world.clock = clock
-                pid = corruption_due(world)
-                corrupt = pid is not None
-            if not corrupt:
+            if corruptions and clock >= corruptions[0][0]:
+                pid, corrupt = corruptions.pop(0)[1], True
+            else:
                 unstarted = ()
                 if maybe_unstarted:
                     unstarted = [

@@ -201,8 +201,9 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
     event from the strategy's data, and ``WorldState.apply`` to apply it.
     The reference for the event loop, which does both in place.
 
-    The pick: the ``rotate`` hook when its countdown has run out; the
-    corruption due, if any; the unstarted processes the strategy does not
+    The pick: the ``rotate`` hook when its countdown has run out; the head
+    of ``strategy.corruptions`` once the clock has reached its clock; the
+    unstarted processes the strategy does not
     refuse (while some process has never computed); one roll; then
     deliveries below 0.7, computes above, starts of unstarted processes
     below 0.25 or when nothing else is pending, each falling back on the
@@ -235,10 +236,9 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
             if ttl <= 0:
                 ttl = strategy.rotate()
             ttl -= 1
-        if strategy._corrupts:
-            pid = strategy._corruption_due(world)
-            if pid is not None:
-                return (CORRUPT, pid)
+        corruptions = strategy.corruptions
+        if corruptions and world.clock >= corruptions[0][0]:
+            return (CORRUPT, corruptions.pop(0)[1])
         unstarted = ()
         if maybe_unstarted:
             unstarted = [i for i in range(n)
@@ -381,3 +381,48 @@ def reference_weight_update_local(weights, matching):
             nw = 0.0
         out.append(nw)
     return out
+
+
+def counteract_bad_values(sigma, good_sum, bad_weights, x_max, m, slack=0.0):
+    """The counteract game's column-sum targets for corrupted writers, as
+    they were computed before ``CounteractGame.bad_columns`` folded them
+    into one pass: pad to (near) zero when the good sum already has sign
+    sigma, else push toward sigma until the weighted bad sum covers the
+    deficit, saturating at the per-column cap.  With
+    ``achievable_column_sum`` the reference the merged policy must match."""
+    cap = min(float(m), x_max)
+    deficit = -sigma * good_sum - slack
+    targets = []
+    if deficit <= 0:
+        pad = 1.0 if m % 2 else 0.0  # full columns of odd length cannot sum to 0
+        for idx in range(len(bad_weights)):
+            targets.append(pad if idx % 2 == 0 else -pad)
+        return targets
+    remaining = deficit
+    for idx, w in enumerate(bad_weights):
+        if remaining > 0 and w > 0:
+            take = min(cap, remaining / w)
+            targets.append(sigma * take)
+            remaining -= w * take
+        else:
+            pad = 1.0 if m % 2 else 0.0
+            targets.append(pad if idx % 2 == 0 else -pad)
+    return targets
+
+
+def achievable_column_sum(target, m, sigma):
+    """Round a real target to a full-column sum: an integer of parity m within
+    [-m, m].  Pushes in the sigma direction never undershoot (ceil); padding
+    targets keep their sign.  Returns (raw, last_flip)."""
+    if sigma * target > 0:
+        raw = int(np.ceil(abs(target)))
+        if (raw - m) % 2:
+            raw += 1
+        raw = min(raw, m) * sigma
+    else:
+        raw = int(round(target))
+        if (raw - m) % 2:
+            raw += 1 if raw <= 0 else -1
+        raw = max(-m, min(m, raw))
+    last = 1 if raw >= 0 else -1
+    return raw, last

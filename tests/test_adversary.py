@@ -118,11 +118,8 @@ class _JunkSender(Strategy):
 
     def setup(self, world):
         super().setup(world)
-        self._to_corrupt = [0]
+        self.corruptions = [(0, 0)]
         self._sent = False
-
-    def _corruption_due(self, world):
-        return self._to_corrupt.pop() if self._to_corrupt else None
 
     def corrupted_compute(self, world, pid, inbox):
         if self._sent:

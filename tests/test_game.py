@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftsim.adversary import Counteract, counteract_bad_values
+from bftsim.adversary import Counteract
 from bftsim.game import (
+    CounteractGame,
     GameConfig,
-    achievable_column_sum,
     run_game,
 )
 from bftsim.params import ConfigInvalid, ProtocolParams, sgn
@@ -19,33 +21,70 @@ def _params(**kw):
 # -- counteract value assignment ------------------------------------------------
 
 
+def _bad_raws(sigma, good_sum, weights, x_max, m, slack=0.0):
+    """The raw sums the counteract game writes for corrupted pids 0..f-1."""
+    cols = CounteractGame().bad_columns(1, sigma, np.array(weights), good_sum, slack,
+                                        frozenset(range(len(weights))), m, x_max, None)
+    return [cols[i][0] for i in range(len(weights))]
+
+
 def test_counteract_pads_to_zero_when_good_sum_agrees():
     # sigma = +1 and the good sum already positive: bad writes sum to ~0
-    targets = counteract_bad_values(1, good_sum=5.0, bad_weights=[1.0, 1.0], x_max=8.0, m=8)
-    assert sum(targets) == 0
+    assert sum(_bad_raws(1, good_sum=5.0, weights=[1.0, 1.0], x_max=8.0, m=8)) == 0
 
 
 def test_counteract_covers_deficit():
     # sigma=+1, weighted good sum -10, f=2: bad weighted sum >= 8 (slack f=2)
-    targets = counteract_bad_values(1, -10.0, [1.0, 1.0], x_max=8.0, m=8, slack=2.0)
-    assert sum(targets) >= 8.0
+    assert sum(_bad_raws(1, -10.0, [1.0, 1.0], x_max=8.0, m=8, slack=2.0)) >= 8.0
 
 
 def test_counteract_saturates_at_capacity():
-    targets = counteract_bad_values(1, -100.0, [1.0, 1.0], x_max=8.0, m=8)
-    assert targets == [8.0, 8.0]  # best effort at the cap
+    assert _bad_raws(1, -100.0, [1.0, 1.0], x_max=8.0, m=8) == [8, 8]  # best effort at the cap
 
 
 def test_achievable_column_sum_parity_and_cap():
+    # every column the counteract game writes is a full-column sum: an
+    # integer of parity m within [-m, m]; a pushing column, whose target is
+    # the deficit up to the cap, never undershoots it
+    opp = CounteractGame()
     for m in (4, 5, 8):
-        for target in (-11.0, -3.2, -0.4, 0.0, 0.7, 2.0, 2.5, 9.9):
+        for deficit in (-11.0, -3.2, -0.4, 0.0, 0.7, 2.0, 2.5, 9.9):
             for sigma in (1, -1):
-                raw, last = achievable_column_sum(target, m, sigma)
-                assert abs(raw) <= m
-                assert (raw - m) % 2 == 0
-                assert last in (1, -1)
-                if sigma * target > 0:
-                    assert sigma * raw >= min(sigma * target, m - 1)  # never undershoots
+                for x_max in (2.5, 9.0):
+                    cols = opp.bad_columns(1, sigma, np.ones(1), -sigma * deficit, 0.0,
+                                           frozenset({0}), m, x_max, None)
+                    raw, last = cols[0]
+                    assert abs(raw) <= m
+                    assert (raw - m) % 2 == 0
+                    assert last in (1, -1)
+                    target = min(float(m), x_max, deficit)
+                    if target > 0:
+                        assert sigma * raw >= min(target, m - 1)  # never undershoots
+
+
+_weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0))  # no subnormal weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.sampled_from((1, -1)), m=st.integers(1, 12), x_scale=st.floats(0.05, 2.0),
+       weights=st.lists(_weight, min_size=1, max_size=8), data=st.data(),
+       slack=st.one_of(st.just(0.0), st.floats(0.0, 30.0)), good_sum=st.floats(-40.0, 40.0))
+def test_counteract_columns_match_reference(sigma, m, x_scale, weights, data, slack, good_sum):
+    # differential oracle: the game's one pass over the corrupted columns
+    # writes what the reference's two steps write (real targets, then each
+    # rounded to a full-column sum), for x_max below and above m, zero and
+    # fractional weights and any hide slack
+    from oracles import achievable_column_sum, counteract_bad_values
+
+    bad = data.draw(st.frozensets(st.integers(0, len(weights) - 1)))
+    w = np.array(weights)  # np.float64 entries, as the game's weight vector
+    x_max = m * x_scale
+    got = CounteractGame().bad_columns(1, sigma, w, good_sum, slack, bad, m, x_max, None)
+    order = sorted(bad)
+    targets = counteract_bad_values(sigma, good_sum, [w[i] for i in order], x_max, m, slack=slack)
+    want = {i: achievable_column_sum(tgt, m, sigma) for i, tgt in zip(order, targets)}
+    assert got == want
+    assert all(type(raw) is int for raw, _ in got.values())
 
 
 # -- engine behavior -------------------------------------------------------------

@@ -181,6 +181,21 @@ def test_cli_run_and_exit_status(tmp_path):
     assert len(records) == 3
 
 
+def test_cli_bad_config_exits_2_without_traceback(tmp_path):
+    # a bad config is a usage error, exit 2, not a safety violation (exit 1):
+    # one line on stderr, whether it is found when the config is made or
+    # when a runner builds its parameters (n=1)
+    cfg = tmp_path / "f"
+    cfg.write_text("mode=bracha\nstop=boards:3\n")
+    runs = [_cli("run", *args)
+            for args in (("--config", str(cfg)), ("--mode", "bracha", "--n", "1", "--f", "0"))]
+    for res in runs:
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("bftsim: error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+    assert "'stop'" in runs[0].stderr
+
+
 def test_cli_simplified_game():
     res = _cli(
         "simplified-game", "--n", "12", "--T", "400", "--eps", "1.0",

@@ -96,11 +96,32 @@ def test_corrupt_respects_budget():
         world.apply((CORRUPT, 3))
 
 
+@pytest.mark.parametrize("corruptions, error", [
+    ([(0, 1), (3, 2), (5, 3)], "fault budget exhausted"),
+    ([(0, 1), (4, 1)], "process 1 already corrupted"),
+], ids=["f+1-pids", "repeated-pid"])
+def test_loop_checks_strategy_corruptions(corruptions, error):
+    # the loop corrupts from the strategy's list as data, and still refuses
+    # a corruption past the fault budget or of a corrupted process
+    from bftsim.adversary import Strategy
+
+    class Corrupter(Strategy):
+        def setup(self, world):
+            super().setup(world)
+            self.corruptions = list(corruptions)
+
+    world, _ = _world(n=7, f=2)
+    with pytest.raises(InapplicableEvent, match=error):
+        run(world, Corrupter(seed=3), None, max_events=500)
+    assert len(world.corrupted) == len(corruptions) - 1
+    assert world.clock == corruptions[-1][0] + 1  # picked at the clock it was due
+
+
 def test_no_forgery_in_trace():
-    from bftsim.adversary import HonestRandom
+    from bftsim.adversary import Strategy
 
     world, _ = _world()
-    run(world, HonestRandom(seed=1), None, max_events=500)
+    run(world, Strategy(seed=1), None, max_events=500)
     sends = {}
     for ordinal, kind, src, dst, digest in world.trace:
         if kind == "send":
@@ -111,12 +132,12 @@ def test_no_forgery_in_trace():
 
 
 def test_determinism_identical_traces():
-    from bftsim.adversary import HonestRandom
+    from bftsim.adversary import Strategy
 
     traces = []
     for _ in range(2):
         world, _ = _world()
-        run(world, HonestRandom(seed=9), None, max_events=400)
+        run(world, Strategy(seed=9), None, max_events=400)
         traces.append(tuple(world.trace))
     assert traces[0] == traces[1]
 
