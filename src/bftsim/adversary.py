@@ -39,9 +39,8 @@ class Strategy:
     rotate = None
     corruptions = ()
 
-    def __init__(self, seed=0, **opts):
+    def __init__(self, seed=0):
         self.seed = seed
-        self.opts = opts
         self.rng = random.Random(f"{seed}/adv/{self.name}")
         self.world = None
 
@@ -74,22 +73,22 @@ class FuzzSchedule(Strategy):
 
 
 class CrashStop(Strategy):
-    """Corrupts up to f processes at seeded times; crashed processes go silent."""
+    """Corrupts f processes at seeded clocks in [0, horizon]; they go silent."""
 
     name = "crash-stop"
+    horizon = 400
 
     def setup(self, world):
         super().setup(world)
         f = world.params.f
         pids = self.rng.sample(range(world.params.n), f)
-        horizon = int(self.opts.get("crash_horizon", 400))
         self.corruptions = sorted(
-            (self.rng.randint(0, horizon), pid) for pid in pids
+            (self.rng.randint(0, self.horizon), pid) for pid in pids
         )
 
 
 class StarveSubset(Strategy):
-    """Never schedules a fixed set of up to f good processes; corrupts no one."""
+    """Never schedules a fixed set of f good processes; corrupts no one."""
 
     name = "starve-subset"
 
@@ -99,8 +98,7 @@ class StarveSubset(Strategy):
 
     def setup(self, world):
         super().setup(world)
-        count = int(self.opts.get("count", world.params.f))
-        self.blocked = frozenset(self.rng.sample(range(world.params.n), count))
+        self.blocked = frozenset(self.rng.sample(range(world.params.n), world.params.f))
 
 
 class _ProtocolCompliantCorruption(Strategy):
@@ -182,19 +180,17 @@ class Colluding(_ProtocolCompliantCorruption):
 
 
 class Equivocator(Strategy):
-    """Broadcast-layer fault injector: one corrupted sender mounts conflicting
-    broadcasts for the same sequence numbers plus random echo/ready noise."""
+    """Broadcast-layer fault injector: one corrupted sender, process seed mod
+    n, mounts conflicting broadcasts for ``seqs`` sequence numbers plus
+    random echo/ready noise."""
 
     name = "equivocator"
-
-    def __init__(self, seed=0, **opts):
-        super().__init__(seed, **opts)
-        self.sent = False
-        self.seqs = int(opts.get("seqs", 3))
+    seqs = 3
+    sent = False
 
     def setup(self, world):
         super().setup(world)
-        self.target = int(self.opts.get("target", 0))
+        self.target = self.seed % world.params.n
         self.corruptions = [(0, self.target)]
 
     def corrupted_compute(self, world, pid, inbox):
@@ -237,12 +233,12 @@ STRATEGIES = {
 }
 
 
-def make_strategy(name, seed=0, **opts) -> Strategy:
+def make_strategy(name, seed=0) -> Strategy:
     try:
         cls = STRATEGIES[name]
     except KeyError:
         raise KeyError(f"unknown adversary {name!r}; have {sorted(STRATEGIES)}") from None
-    return cls(seed, **opts)
+    return cls(seed)
 
 
 # -- simplified-game opponents ---------------------------------------------

@@ -26,19 +26,27 @@ WRITE, ACK, LAST, VOTE = "write", "ack", "last", "vote"
 _SHAPES = {VOTE: (4, 3), WRITE: (4, 3), ACK: (4, 4), LAST: (3, 2)}
 
 
-def well_formed(payload) -> bool:
-    """A known tag, its arity, and ints in the integer fields: the shape
-    every protocol payload must have before any handler unpacks it."""
-    try:
-        arity, end = _SHAPES[payload[0]]
-    except (TypeError, IndexError, KeyError):
+def well_formed(payload, n) -> bool:
+    """A known tag, its arity, ints in the integer fields, and a tuple of n
+    (int, int) positions as a LAST vector or a row-0 write after board 1:
+    the shape every protocol payload must have before any handler unpacks it."""
+    if type(payload) is not tuple or not payload or type(payload[0]) is not str:
         return False
-    if type(payload) is not tuple or len(payload) != arity:
+    shape = _SHAPES.get(payload[0])
+    if shape is None or len(payload) != shape[0]:
         return False
-    for x in payload[1:end]:
+    for x in payload[1:shape[1]]:
         if type(x) is not int:
             return False
-    return True
+    if payload[0] == LAST:
+        vec = payload[2]
+    elif payload[0] == WRITE and payload[2] == 0 and payload[1] > 1:
+        vec = payload[3]
+    else:
+        return True
+    return type(vec) is tuple and len(vec) == n and all(
+        type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in vec
+    )
 
 
 class WriterAbsent(KeyError):
@@ -135,7 +143,6 @@ class BlackboardNode:
         self._line3_done = set()  # (t, r) thresholds consumed for own writes
         self.my_row = {}  # t -> highest row I broadcast
         self.lastvec_pool = {}  # t -> {q: vector}
-        self.last_frozen = {}  # t -> my frozen last vector
         self.lastbar = {}
         self.views = {}
         self.current_t = 0
@@ -198,9 +205,7 @@ class BlackboardNode:
             return
         if self.full_cols.get(t, 0) >= self.need:
             self.complete.add(t)
-            frozen = tuple(self.last)
-            self.last_frozen[t] = frozen
-            self.send((LAST, t, frozen))
+            self.send((LAST, t, tuple(self.last)))
 
     def _check_finalize(self, t):
         if t != self.current_t or t in self.lastbar:
@@ -225,47 +230,32 @@ class BlackboardNode:
     def gate(self, origin, payload) -> bool:
         """May this process participate in (echo/count/accept) the broadcast
         of ``payload``?  Malformed byzantine payloads never open the gate."""
-        if not well_formed(payload):
+        if not well_formed(payload, self.n):
             return False
-        try:
-            tag = payload[0]
-            if tag == VOTE:
-                return True
-            if tag == WRITE:
-                _, t, r, value = payload
-                if r == 0:
-                    if t == 1:
-                        return True
-                    pool = self.lastvec_pool.get(t - 1)
-                    if not pool or len(value) != self.n:
-                        return False
-                    zeta = tuple(tuple(p) for p in value)
-                    below = [
-                        vec
-                        for vec in pool.values()
-                        if all(tuple(vec[i]) <= zeta[i] for i in range(self.n))
-                    ]
-                    if len(below) < self.need:
-                        return False
-                    return lex_max([tuple(tuple(p) for p in v) for v in below]) == zeta
-                if r > self.m or type(value) is not int or value not in (1, -1):
-                    return False  # a coin write fills a row 1..m with +-1
-                senders = self.ack_senders.get((t, r - 1, origin))
-                return senders is not None and len(senders) >= self.need
-            if tag == ACK:
-                _, t, r, q = payload
-                return (t, r, q) in self.cells
-            if tag == LAST:
-                _, t, vec = payload
-                if len(vec) != self.n:
+        tag = payload[0]
+        if tag == VOTE:
+            return True
+        if tag == WRITE:
+            _, t, r, value = payload
+            if r == 0:
+                if t == 1:
+                    return True
+                pool = self.lastvec_pool.get(t - 1)
+                if not pool:
                     return False
-                for i, pos in enumerate(vec):
-                    pos = tuple(pos)
-                    if pos == NEVER:
-                        continue
-                    if (pos[0], pos[1], i) not in self.cells:
-                        return False
-                return True
-        except (TypeError, IndexError, KeyError):
-            return False
-        return False
+                below = [vec for vec in pool.values() if all(vec[i] <= value[i] for i in range(self.n))]
+                if len(below) < self.need:
+                    return False
+                return lex_max(below) == value
+            if r > self.m or type(value) is not int or value not in (1, -1):
+                return False  # a coin write fills a row 1..m with +-1
+            senders = self.ack_senders.get((t, r - 1, origin))
+            return senders is not None and len(senders) >= self.need
+        if tag == ACK:
+            _, t, r, q = payload
+            return (t, r, q) in self.cells
+        _, t, vec = payload  # LAST
+        for i, pos in enumerate(vec):
+            if pos != NEVER and (pos[0], pos[1], i) not in self.cells:
+                return False
+        return True

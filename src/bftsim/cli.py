@@ -2,11 +2,13 @@
 
 Subcommands: ``run`` (one configuration over a seed set), ``sweep`` (cross
 product over grid values), ``verify`` (re-check the traces in a metrics file
-or a bare trace bundle),
-``simplified-game`` (the unweighted detection game).  A plain key=value
-config file may seed any subcommand; CLI flags override it.  BF_THREADS caps
-the worker pool.  Exit status: 1 for a safety violation or a failed
-``verify``, 2 for a bad config or usage.
+or a bare trace bundle), ``simplified-game`` (the unweighted detection game).
+Every ``ExperimentConfig`` field is a flag of the same name (``--max-events``
+for ``max_events``), plus ``--seed`` and ``--kmax`` as aliases.  A plain
+key=value config file may seed any subcommand; flags override it.  Files,
+flags and ``--grid`` values are typed and checked by the config alone.
+BF_THREADS caps the worker pool.  Exit status: 1 for a safety violation or a
+failed ``verify``, 2 for a bad config or usage.
 """
 from __future__ import annotations
 
@@ -29,50 +31,26 @@ from .harness import (
 from .params import ConfigInvalid
 
 
+_ALIASES = {"seeds": ("--seed",), "k_max": ("--kmax",)}
+
+
 def _add_common(parser: argparse.ArgumentParser):
+    """One flag per config field, named after it; values stay strings for
+    ``coerce_config``, the one typing path of files, flags and grids."""
     parser.add_argument("--config", help="key=value config file; flags override")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--f", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--T", type=int)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--kmax", type=int, dest="k_max")
-    parser.add_argument("--fairness-window", type=int, dest="fairness_window")
-    parser.add_argument("--seed", dest="seeds", help="single seed")
-    parser.add_argument("--seeds", dest="seeds", help="'0:50' or '1,2,3'")
-    parser.add_argument("--adversary")
-    parser.add_argument(
-        "--adversary-arg",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="repeatable adversary parameter",
-    )
-    parser.add_argument("--mode")
-    parser.add_argument("--coin", choices=["local", "blackboard"])
-    parser.add_argument("--inputs")
-    parser.add_argument("--boards", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--max-events", type=int, dest="max_events")
-    parser.add_argument("--max-iterations", type=int, dest="max_iterations")
-    parser.add_argument("--out")
-    parser.add_argument("--trace", action="store_true", default=None)
-    parser.add_argument("--zero-bad-weights", action="store_true", default=None, dest="zero_bad_weights")
+    for field in fields(ExperimentConfig):
+        flags = ("--" + field.name.replace("_", "-"), *_ALIASES.get(field.name, ()))
+        if field.type == "bool":
+            parser.add_argument(*flags, dest=field.name, action="store_true", default=None)
+        else:
+            parser.add_argument(*flags, dest=field.name)
 
 
 def _collect(args) -> dict:
-    kwargs = {}
-    if args.config:
-        kwargs.update(load_config_file(args.config))
-    # adversary_args and record_series have no flag of that name, so they are skipped
+    kwargs = load_config_file(args.config) if args.config else {}
     for field in fields(ExperimentConfig):
-        val = getattr(args, field.name, None)
-        if val is not None:
-            kwargs[field.name] = val
-    if args.adversary_arg:
-        parsed = dict(kv.split("=", 1) for kv in args.adversary_arg)
-        kwargs["adversary_args"] = parsed
+        if getattr(args, field.name) is not None:
+            kwargs[field.name] = getattr(args, field.name)
     return kwargs
 
 
@@ -121,7 +99,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.trace_file) as fh:
         records = [json.loads(line) for line in fh if line.strip()]
-    verdicts = verify_trace(records, f=args.f)
+    f = None if args.f is None else coerce_config({"f": args.f})["f"]
+    verdicts = verify_trace(records, f=f)
     for v in verdicts:
         status = "PASS" if v.ok else "FAIL"
         seed = f" seed={v.seed}" if v.seed is not None else ""
@@ -135,15 +114,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplified(args) -> int:
-    kwargs = _collect(args)
-    kwargs["mode"] = "simplified-game"
-    kwargs.setdefault("adversary", "simple-counteract")
-    kwargs.setdefault("f", 0)
-    cfg = make_config(**kwargs)
+    cfg = make_config(**{"adversary": "simple-counteract", **_collect(args), "mode": "simplified-game"})
     return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bftsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -158,14 +133,17 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="re-check the traces a run --trace --out file holds")
     p_verify.add_argument("trace_file")
-    p_verify.add_argument("--f", type=int, default=None)
+    p_verify.add_argument("--f")
     p_verify.set_defaults(func=cmd_verify)
 
     p_simple = sub.add_parser("simplified-game", help="unweighted detection game")
     _add_common(p_simple)
     p_simple.set_defaults(func=cmd_simplified)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigInvalid as exc:  # a bad config, found before or during the run

@@ -21,7 +21,7 @@ Both end in the same frozen views and weight update.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -99,9 +99,6 @@ class GameOpponent:
 
     name = "honest-random"
     forcing = False
-
-    def __init__(self, **opts):
-        self.opts = opts
 
     def pick_bad(self, n, f, rng):
         return frozenset()
@@ -189,7 +186,6 @@ GAME_OPPONENTS = {
 class GameConfig:
     params: ProtocolParams
     adversary: str = "honest-random"
-    adversary_args: dict = field(default_factory=dict)
     epochs: int = 1
     seed: int = 0
     stop_on_natural_end: bool = True
@@ -246,7 +242,7 @@ def run_game(cfg: GameConfig) -> GameReport:
         raise ConfigInvalid(f"unknown game adversary {cfg.adversary!r}; have {sorted(GAME_OPPONENTS)}")
     if cfg.epochs < 1:
         raise ConfigInvalid(f"need epochs >= 1, got {cfg.epochs}")
-    opp = opp_cls(**cfg.adversary_args)
+    opp = opp_cls()
     play = _play_iterations if opp.forcing else _play_whole_epoch
 
     streams = [FlipStream(np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, i))))

@@ -7,6 +7,7 @@ configurations reproduce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -51,7 +52,6 @@ class ExperimentConfig:
     fairness_window: int = 0
     coin: str = "local"
     adversary: str = "honest-random"
-    adversary_args: dict = field(default_factory=dict)
     seeds: list = field(default_factory=lambda: [0])
     max_events: int = 2_000_000
     boards: int = 2
@@ -62,6 +62,7 @@ class ExperimentConfig:
     trace: bool = False
     zero_bad_weights: bool = False
     record_series: bool = False
+    simple_game = None  # the SimpleGameConfig, built here in simplified-game mode
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -74,6 +75,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{self.mode} {name} must be one of {sorted(known)}, got {value!r}")
         if self.epochs < 1 or self.boards < 1:
             raise ConfigInvalid(f"need epochs >= 1 and boards >= 1, got {self.epochs} and {self.boards}")
+        if self.mode == "simplified-game":  # f derives from n and eps; T defaults to 1000
+            self.simple_game = SimpleGameConfig(n=self.n, T=self.T if self.T else 1000, eps=self.eps)
+            self.f = self.simple_game.f
         weighted = (self.mode == "bracha" and self.coin == "blackboard") or self.mode == "game"
         if weighted and self.f > 0:
             self.params().require_quarter_resilience()
@@ -96,28 +100,21 @@ def load_config_file(path) -> dict:
 
 
 def coerce_config(cfg_kwargs: dict) -> dict:
-    """String-typed config values (from files / CLI) to their field types."""
+    """String-typed config values (from files, flags and grids) to their
+    field types; a value that does not parse raises ``ConfigInvalid``."""
     typed = {}
     fields = ExperimentConfig.__dataclass_fields__
     for key, value in cfg_kwargs.items():
         if key not in fields:
             raise ConfigInvalid(f"unknown config key {key!r}")
-        if not isinstance(value, str):
+        parse = _PARSERS.get(fields[key].type)
+        if parse is None or not isinstance(value, str):
             typed[key] = value
             continue
-        kind = fields[key].type
-        if key == "seeds":
-            typed[key] = parse_seed_spec(value)
-        elif key == "adversary_args":
-            typed[key] = dict(kv.split("=", 1) for kv in value.split(",") if kv)
-        elif kind in ("int", int):
-            typed[key] = int(value)
-        elif kind in ("float", float):
-            typed[key] = float(value)
-        elif kind in ("bool", bool):
-            typed[key] = value.lower() in ("1", "true", "yes")
-        else:
-            typed[key] = value
+        try:
+            typed[key] = parse(value)
+        except (ValueError, KeyError):
+            raise ConfigInvalid(f"config key {key!r}: cannot read {value!r} as {fields[key].type}") from None
     return typed
 
 
@@ -132,6 +129,17 @@ def parse_seed_spec(spec) -> list:
     return [int(s) for s in spec.split(",") if s]
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):  # nan and inf parse, but no run setting takes them
+        raise ValueError(value)
+    return x
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_PARSERS = {"list": parse_seed_spec, "int": int, "float": _finite, "bool": lambda v: _BOOLS[v.lower()]}
+
+
 def make_config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**coerce_config(kwargs))
 
@@ -139,15 +147,14 @@ def make_config(**kwargs) -> ExperimentConfig:
 # -- single-run drivers -----------------------------------------------------
 
 
-def _run_mode(cfg, seed, world, done, **defaults):
-    """Run a built world under ``cfg.adversary``, whose arguments are the
-    mode's ``defaults`` overridden by ``cfg.adversary_args``, until
-    ``done(active, steady)`` holds, the world is quiescent or
-    ``cfg.max_events`` have passed.  ``active`` are the handlers neither
-    corrupted nor starved and ``steady`` those of them not slowed; with
-    ``done=None`` the run goes on to quiescence or the budget.  Returns the
-    strategy and the ``RunResult``."""
-    strategy = make_strategy(cfg.adversary, seed, **{**defaults, **cfg.adversary_args})
+def _run_mode(cfg, seed, world, done):
+    """Run a built world under ``cfg.adversary`` until ``done(active,
+    steady)`` holds, the world is quiescent or ``cfg.max_events`` have
+    passed.  ``active`` are the handlers neither corrupted nor starved and
+    ``steady`` those of them not slowed; with ``done=None`` the run goes on
+    to quiescence or the budget.  Returns the strategy and the
+    ``RunResult``."""
+    strategy = make_strategy(cfg.adversary, seed)
     stop = None
     if done is not None:
         key = lists = None
@@ -377,7 +384,7 @@ def run_broadcast_fuzz_once(cfg: ExperimentConfig, seed: int) -> dict:
     params = cfg.params()
     handlers = [AcceptCollector(pid, params) for pid in range(params.n)]
     world = WorldState(params, handlers, record_trace=cfg.trace)
-    strategy, result = _run_mode(cfg, seed, world, None, target=seed % params.n)
+    strategy, result = _run_mode(cfg, seed, world, None)
     good = [h for h in handlers if h.pid not in world.corrupted]
     found, accepted_by = check_broadcast({h.pid: h.rb.accepted_log for h in good})
     # totality is liveness, judged over the processes the schedule runs, and
@@ -399,7 +406,6 @@ def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
     gc = GameConfig(
         params=params,
         adversary=cfg.adversary,
-        adversary_args=cfg.adversary_args,
         epochs=cfg.epochs,
         seed=seed,
         zero_bad_weights=cfg.zero_bad_weights,
@@ -456,7 +462,7 @@ def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def run_simplified_once(cfg: ExperimentConfig, seed: int) -> dict:
-    sg = SimpleGameConfig(n=cfg.n, T=cfg.T if cfg.T else 1000, eps=cfg.eps)
+    sg = cfg.simple_game
     adv_cls = _adversary.SIMPLE_ADVERSARIES[cfg.adversary]
     result = run_simplified_game(sg, adv_cls(), seed, stop_on_loss=False)
     pair = detect_pair(result.values) if result.rounds_played >= 2 else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import sgn
+from .params import ConfigInvalid, sgn
 
 
 def compute_stats(xs, weights):
@@ -45,10 +45,11 @@ class SimpleGameConfig:
     eps: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2 or self.T < 1:
-            raise ValueError("need n >= 2 and T >= 1")
+        if self.n < 2 or self.T < 1 or self.eps <= 0:
+            raise ConfigInvalid(f"simplified game needs n >= 2, T >= 1 and eps > 0, got n={self.n} "
+                                f"T={self.T} eps={self.eps}")
         if self.f * 3 >= self.n:
-            raise ValueError("simplified game requires f < n/3")
+            raise ConfigInvalid(f"simplified game requires f < n/3, got n={self.n} f={self.f}")
 
     @property
     def f(self) -> int:

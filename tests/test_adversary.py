@@ -111,10 +111,11 @@ def test_corrupting_run_is_freed_without_the_collector(adversary):
 
 class _JunkSender(Strategy):
     """Corrupts process 0 before anything runs; it opens one reliable
-    broadcast of the payload in ``opts["payload"]``, or sends everyone the
-    raw wire message in ``opts["wire"]``, and then stays silent."""
+    broadcast of the class attribute ``payload``, or sends everyone the raw
+    wire message ``wire`` when a case sets it, and then stays silent."""
 
     name = "junk-sender"
+    payload = wire = None
 
     def setup(self, world):
         super().setup(world)
@@ -125,7 +126,7 @@ class _JunkSender(Strategy):
         if self._sent:
             return []
         self._sent = True
-        wire = self.opts["wire"] if "wire" in self.opts else (INIT, pid, 1, self.opts["payload"])
+        wire = self.wire or (INIT, pid, 1, self.payload)
         return [(dst, wire) for dst in range(world.params.n) if dst != pid]
 
 
@@ -144,9 +145,9 @@ _JUNK_MODES = {
 def test_malformed_payload_does_not_crash_a_run(monkeypatch, mode, payload):
     # a corrupted sender may broadcast anything; the good processes reject
     # what has the wrong tag, arity or field types, and still finish safely
-    monkeypatch.setitem(STRATEGIES, _JunkSender.name, _JunkSender)
-    cfg = make_config(n=5, f=1, adversary=_JunkSender.name, adversary_args={"payload": payload},
-                      inputs="mixed", seeds=[3], **_JUNK_MODES[mode])
+    monkeypatch.setitem(STRATEGIES, _JunkSender.name, type("Sender", (_JunkSender,), {"payload": payload}))
+    cfg = make_config(n=5, f=1, adversary=_JunkSender.name, inputs="mixed", seeds=[3],
+                      **_JUNK_MODES[mode])
     rec = run_experiment(cfg)[0]
     assert rec["violations"] == []
     if cfg.mode == "bracha":
@@ -180,9 +181,10 @@ def test_malformed_wire_message_does_not_crash_a_run(monkeypatch, mode, wire):
             super().setup(world)
             worlds.append(world)
 
+    Sender.wire = wire
     monkeypatch.setitem(STRATEGIES, _JunkSender.name, Sender)
-    cfg = make_config(n=5, f=1, adversary=_JunkSender.name, adversary_args={"wire": wire},
-                      inputs="mixed", seeds=[3], **_WIRE_MODES[mode])
+    cfg = make_config(n=5, f=1, adversary=_JunkSender.name, inputs="mixed", seeds=[3],
+                      **_WIRE_MODES[mode])
     rec = run_experiment(cfg)[0]
     # process 0 never broadcast: no good process keeps state for origin 0 or
     # for an origin out of range

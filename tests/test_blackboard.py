@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftsim.adversary import make_strategy
+from bftsim.adversary import CrashStop, make_strategy
 from bftsim.agreement import BlackboardProcess
 from bftsim.blackboard import DUMMY, NEVER, FinalView, history_of_writer, lex_max, WriterAbsent
 from bftsim.harness import check_views
@@ -24,11 +26,11 @@ def _view_violations(handlers, f):
     return found["full-columns"] + found["view-disagreement"]
 
 
-def _finished_world(n=4, f=1, m=2, boards=2, seed=0, adversary="honest-random", max_events=400_000, **adv):
+def _finished_world(n=4, f=1, m=2, boards=2, seed=0, adversary="honest-random", max_events=400_000):
     params = ProtocolParams(n=n, f=f, m=m, T=16)
     handlers = [BlackboardProcess(pid, params, seed, boards=boards) for pid in range(n)]
     world = WorldState(params, handlers)
-    strategy = make_strategy(adversary, seed, **adv)
+    strategy = make_strategy(adversary, seed)
 
     def stop(w):
         starved = getattr(strategy, "starved", frozenset())
@@ -114,10 +116,11 @@ def test_fuzzed_schedules_bounded_disagreement():
         assert violations == [], f"seed {seed}: {violations}"
 
 
-def test_crash_stop_still_completes_boards():
+def test_crash_stop_still_completes_boards(monkeypatch):
     # f crashed processes leave partial columns; the rest finalize anyway
+    monkeypatch.setattr(CrashStop, "horizon", 60)
     params, handlers, world, result = _finished_world(
-        n=4, f=1, m=2, boards=2, seed=7, adversary="crash-stop", crash_horizon=60
+        n=4, f=1, m=2, boards=2, seed=7, adversary="crash-stop"
     )
     live = [h for h in handlers if h.pid not in world.corrupted]
     assert all(h.board.done_t >= 2 for h in live)
@@ -137,6 +140,41 @@ def test_gate_rejects_malformed_payloads():
     assert h.board.gate(1, ("write", 1, 1, -1))
     assert not h.board.gate(1, ("write", 1, 1, "x"))  # coin writes carry +-1 only
     assert not h.board.gate(1, ("write", 1, 1, 2))
+    assert not h.board.gate(1, ([],))  # a tag that is no str, tested before the lookup
+    assert not h.board.gate(1, (["write"], 1, 0, DUMMY))
+    # a LAST vector holds n (int, int) positions, each naming an accepted cell
+    h.board.on_accept(1, ("write", 1, 0, DUMMY))
+    assert h.board.gate(1, ("last", 1, (NEVER, (1, 0), NEVER, NEVER)))
+    assert not h.board.gate(1, ("last", 1, (NEVER, (1, 0, 9), NEVER, NEVER)))
+    assert not h.board.gate(1, ("last", 1, [NEVER, (1, 0), NEVER, NEVER]))
+    assert not h.board.gate(1, ("last", 1, (NEVER, [1, 0], NEVER, NEVER)))
+    # so does a row-0 write after board 1, the last-vector its writer froze
+    for s in range(3):
+        h.board.on_accept(s, ("last", 1, (NEVER,) * 4))
+    assert h.board.gate(1, ("write", 2, 0, (NEVER,) * 4))
+    assert not h.board.gate(1, ("write", 2, 0, [NEVER] * 4))
+    assert not h.board.gate(1, ("write", 2, 0, tuple([0, -1] for _ in range(4))))
+    assert not h.board.gate(1, ("write", 2, 0, (NEVER,) * 3))
+
+
+_LEAVES = st.integers(-2, 3) | st.sampled_from(["write", "ack", "last", "vote", "dummy"])
+_JUNK = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple),
+                     max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_JUNK | st.builds(lambda tag, rest: (tag, *rest),
+                                 st.sampled_from(["write", "ack", "last", "vote"]),
+                                 st.lists(_JUNK, max_size=4)))
+def test_gate_never_raises_on_junk(payload):
+    # nested tuples, lists, ints and strings: the gate answers, never raises
+    params = ProtocolParams(n=4, f=1, m=2, T=16)
+    h = BlackboardProcess(0, params, seed=0, boards=1)
+    h.board.on_accept(1, ("write", 1, 0, DUMMY))
+    for s in range(3):
+        h.board.on_accept(s, ("ack", 1, 0, 1))
+        h.board.on_accept(s, ("last", 1, (NEVER, (1, 0), NEVER, NEVER)))
+    assert h.board.gate(1, payload) in (True, False)
 
 
 def test_gate_rejects_coin_write_past_row_m():

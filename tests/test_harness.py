@@ -42,6 +42,8 @@ def test_config_validation():
     dict(mode="game", epochs=0), dict(mode="blackboard", boards=0),
     # no stop spec, well-formed or not: runs are bounded by their own fields
     dict(stop="decided-all"), dict(stop="bogus"), dict(stop="boards:two"), dict(stop="max-events"),
+    # strategies take no options: their settings are fixed
+    dict(adversary_args={"x": "1"}),
 ], ids=repr)
 def test_config_rejects_unknown_names_and_empty_runs(bad):
     # caught when the config is made, not as a KeyError or IndexError mid-run
@@ -183,17 +185,48 @@ def test_cli_run_and_exit_status(tmp_path):
 
 def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     # a bad config is a usage error, exit 2, not a safety violation (exit 1):
-    # one line on stderr, whether it is found when the config is made or
-    # when a runner builds its parameters (n=1)
-    cfg = tmp_path / "f"
-    cfg.write_text("mode=bracha\nstop=boards:3\n")
-    runs = [_cli("run", *args)
-            for args in (("--config", str(cfg)), ("--mode", "bracha", "--n", "1", "--f", "0"))]
+    # one line on stderr, whether it is found when a value is typed, when the
+    # config is made or when a runner builds its parameters (n=1)
+    files = []
+    for k, text in enumerate(("stop=boards:3", "n=abc", "seeds=a:b", "trace=maybe", "eps=nan")):
+        files.append(tmp_path / f"f{k}")
+        files[-1].write_text(f"mode=bracha\n{text}\n")
+    runs = [_cli("run", "--config", str(path)) for path in files]
+    runs += [_cli(*args) for args in (
+        ("run", "--mode", "bracha", "--n", "1", "--f", "0"), ("run", "--n", "abc"),
+        ("simplified-game", "--n", "1"), ("simplified-game", "--T", "-1"),
+    )]
     for res in runs:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("bftsim: error: ") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
     assert "'stop'" in runs[0].stderr
+    assert "'n'" in runs[1].stderr and "'seeds'" in runs[2].stderr and "'trace'" in runs[3].stderr
+    assert "'eps'" in runs[4].stderr
+
+
+def test_cli_flags_mirror_config_fields():
+    # one flag per config field, named after it, in every subcommand that
+    # makes a config; --seed and --kmax stay as aliases
+    import argparse
+    from dataclasses import fields
+
+    from bftsim.cli import _collect, _parser
+    from bftsim.harness import ExperimentConfig
+
+    parser = _parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    names = [f.name for f in fields(ExperimentConfig)]
+    for command in ("run", "sweep", "simplified-game"):
+        flags = {a.dest: a.option_strings for a in subs[command]._actions if a.dest in names}
+        assert sorted(flags) == sorted(names), command
+        for name in names:
+            assert flags[name][0] == "--" + name.replace("_", "-")
+        assert flags["seeds"] == ["--seeds", "--seed"] and flags["k_max"] == ["--k-max", "--kmax"]
+    cfg = make_config(**_collect(parser.parse_args(["run", "--kmax", "3", "--seed", "4"])))
+    assert cfg.k_max == 3 and cfg.seeds == [4]
+    cfg = make_config(**_collect(parser.parse_args(["run", "--mode", "game", "--record-series"])))
+    assert cfg.record_series is True
 
 
 def test_cli_simplified_game():
@@ -205,6 +238,17 @@ def test_cli_simplified_game():
     lines = [json.loads(l) for l in res.stdout.strip().splitlines() if l.startswith("{")]
     assert len(lines) == 2
     assert all("contains_bad" in l for l in lines)
+
+
+def test_cli_simplified_game_header_f_is_the_derived_f(tmp_path):
+    # f = floor(n / (3 + eps)), whatever --f says: the header and every
+    # record name the same f
+    out = tmp_path / "simple.ndjson"
+    res = _cli("simplified-game", "--n", "20", "--f", "2", "--T", "50", "--seeds", "0:2",
+               "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    header, records = parse_metrics(out)
+    assert header["f"] == 5 and [r["f"] for r in records] == [5, 5]
 
 
 def test_cli_sweep(tmp_path):
