@@ -8,7 +8,7 @@ for ``max_events``), plus ``--seed`` and ``--kmax`` as aliases.  A plain
 key=value config file may seed any subcommand; flags override it.  Files,
 flags and ``--grid`` values are typed and checked by the config alone.
 BF_THREADS caps the worker pool.  Exit status: 1 for a safety violation or a
-failed ``verify``, 2 for a bad config or usage.
+failed ``verify``, 2 for a bad config, an unreadable input file or usage.
 """
 from __future__ import annotations
 
@@ -98,7 +98,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.trace_file) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+        try:
+            records = [json.loads(line) for line in fh if line.strip()]
+        except ValueError as exc:  # not JSON, or not text
+            raise ConfigInvalid(f"{args.trace_file} is not a metrics file: {exc}") from None
     f = None if args.f is None else coerce_config({"f": args.f})["f"]
     verdicts = verify_trace(records, f=f)
     for v in verdicts:
@@ -114,7 +117,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplified(args) -> int:
-    cfg = make_config(**{"adversary": "simple-counteract", **_collect(args), "mode": "simplified-game"})
+    kwargs = {"adversary": "simple-counteract", "mode": "simplified-game", **_collect(args)}
+    if kwargs["mode"] != "simplified-game":
+        raise ConfigInvalid(f"simplified-game runs mode 'simplified-game', not {kwargs['mode']!r}")
+    cfg = make_config(**kwargs)
     return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
@@ -146,7 +152,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigInvalid as exc:  # a bad config, found before or during the run
+    # a bad config, found before or during the run, or a file that cannot be read
+    except (ConfigInvalid, OSError) as exc:
         print(f"bftsim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,17 +8,22 @@ and the dependency graph records every induced direction.
 
 Self-loops count once against their vertex capacity.
 
-Arithmetic is exact (``fractions.Fraction``), so saturation is tested with
-no tolerance.  Infinite edge capacities use ``math.inf`` and never enter the
-step-size minimum.  Only the capacities the raise reads are made exact: those
-of positive-capacity edges and of the vertices they touch.  A graph without
-such an edge (most excess graphs after the first epoch) skips exact
-arithmetic altogether.
+The raise is exact, with no tolerance, on integer ratios: it reads each
+capacity it needs once as a reduced pair ``(num, den)`` with
+``as_integer_ratio()``, keeps the level and each live vertex's residual
+capacity and saturation level as such pairs, and compares them by
+cross-multiplication.  A ``Fraction`` is made once per step, for that
+step's level, and is the value of every edge that freezes in the step, so
+the matching's values and ``FreezeStep.level`` are ``Fraction``s.  Infinite
+capacities use ``math.inf`` and never enter the step-size minimum.  Only the
+capacities the raise reads are made exact: those of positive-capacity edges
+and of the vertices they touch.  A graph without such an edge (most excess
+graphs after the first epoch) returns before any of it.
 
 A step costs the live vertices plus what freezes in it, not every live edge.
-Each live vertex keeps the level at which it saturates, (c_v - base) / deg,
-recomputed only when a freeze changes its frozen mass or degree; the finite
-edge caps are sorted once and walked in order.  Still exact: "the vertex is
+Each live vertex keeps the level at which it saturates, its residual
+capacity over its degree, recomputed only when a freeze changes either; the
+finite edge caps are sorted once and walked in order.  Still exact: "the vertex is
 saturated at this level" and "its saturation level is at most this level"
 are the same rational inequality, so the steps are those of raising every
 live edge by the same delta.
@@ -26,10 +31,13 @@ live edge by the same delta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 INF = math.inf
+_ZERO = Fraction(0)
 
 
 class NegativeCapacity(ValueError):
@@ -134,18 +142,34 @@ def _to_exact(x):
     return Fraction(x)
 
 
+def _ratio(x):
+    """``x`` as a reduced integer pair ``(num, den)`` with ``den > 0``;
+    ``INF`` stays ``INF``."""
+    if x is INF:
+        return INF
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # numpy integers have none; as a plain int, no overflow
+        return operator.index(x), 1
+
+
+def _div(num, den, k):
+    """The reduced ratio num/den divided by the positive int k, reduced."""
+    d = gcd(num, k)
+    return num // d, den * (k // d)
+
+
 def rising_tide(g: CapacitatedGraph):
     """Raise all positive-capacity edges in lockstep, freezing at saturation.
 
     Returns ``(FractionalMatching, DependencyGraph)``.  Terminates in at most
     |E| rounds; the result is a maximal feasible fractional matching.
     """
-    zero = Fraction(0)
-    mu = dict.fromkeys(g.c_e, zero)
+    mu = dict.fromkeys(g.c_e, _ZERO)
     active = [e for e, cap in g.c_e.items() if cap > 0]
     if not active:
         return FractionalMatching(g.n, mu, []), DependencyGraph(g.n, set())
-    caps = [_to_exact(g.c_e[e]) for e in active]
+    caps = [_ratio(g.c_e[e]) for e in active]
     deg = [0] * g.n
     incident = [[] for _ in range(g.n)]  # edge indices into active, in c_e order
     for k, (i, j) in enumerate(active):
@@ -155,20 +179,23 @@ def rising_tide(g: CapacitatedGraph):
             deg[j] += 1
             incident[j].append(k)
     live = [i for i in range(g.n) if deg[i]]  # no other vertex is ever read
-    c_v = [None] * g.n
-    sat_level = [None] * g.n  # the level at which a live vertex saturates: (c_v - base) / deg
+    rem = [None] * g.n  # c_v less the frozen incident mass, of a live vertex
+    sat_level = [None] * g.n  # the level at which a live vertex saturates: rem / deg
     for i in live:
-        c_v[i] = _to_exact(g.c_v[i])
-        sat_level[i] = c_v[i] if c_v[i] is INF else c_v[i] / deg[i]
-    base = [zero] * g.n  # frozen incident mass per vertex
-    # finite caps in increasing order: a float is exactly its Fraction, so the
-    # given capacities sort as the exact ones do, without exact comparisons
-    by_cap = sorted((k for k in range(len(active)) if caps[k] is not INF),
-                    key=lambda k: g.c_e[active[k]])
+        rem[i] = cap = _ratio(g.c_v[i])
+        sat_level[i] = cap if cap is INF else _div(*cap, deg[i])
+    # finite caps in increasing order, exactly: a float (numpy's too) sorts
+    # by itself, any other cap by its Fraction, and floats and Fractions
+    # compare exactly (numpy compares a float with a big int inexactly)
+    def cap_key(k):
+        cap = g.c_e[active[k]]
+        return cap if isinstance(cap, float) else Fraction(*caps[k])
+
+    by_cap = sorted((k for k in range(len(active)) if caps[k] is not INF), key=cap_key)
     done = [False] * len(active)
     next_cap = 0  # by_cap[:next_cap] are frozen
 
-    level = zero
+    ln, ld = 0, 1  # the level
     steps = []
     dep_edges = set()
     step_no = 0
@@ -179,25 +206,29 @@ def rising_tide(g: CapacitatedGraph):
             next_cap += 1
         low = caps[by_cap[next_cap]] if next_cap < len(by_cap) else None
         for i in live:
-            if low is None or sat_level[i] < low:
-                low = sat_level[i]
-        if low is INF:  # only infinite vertices bound the raise: nothing ever saturates
+            s = sat_level[i]
+            if s is not INF and (low is None or s[0] * low[1] < low[0] * s[1]):
+                low = s
+        if low is None:  # only infinite vertices bound the raise: nothing ever saturates
             raise AssertionError("no progress in rising tide step")
-        if low > level:
-            level = low
+        if low[0] * ld > ln * low[1]:
+            ln, ld = low
+        level = Fraction(ln, ld)
 
         sat_e = []
         frozen = []
         while next_cap < len(by_cap):
             k = by_cap[next_cap]
             if not done[k]:
-                if caps[k] > level:
+                num, den = caps[k]
+                if num * ld > ln * den:
                     break
                 done[k] = True
                 sat_e.append(active[k])
                 frozen.append(k)
             next_cap += 1
-        sat_v = [i for i in live if sat_level[i] <= level]
+        sat_v = [i for i in live
+                 if (s := sat_level[i]) is not INF and s[0] * ld <= ln * s[1]]
         for i in sat_v:
             for k in incident[i]:
                 if not done[k]:
@@ -206,25 +237,28 @@ def rising_tide(g: CapacitatedGraph):
         frozen.sort()  # c_e order
 
         saturated = set(sat_v)
-        hit = set()
+        hit = {}  # vertex -> edges frozen at it in this step
         for k in frozen:
             e = active[k]
             i, j = e
             mu[e] = level
             deg[i] -= 1
-            base[i] += level
-            hit.add(i)
+            hit[i] = hit.get(i, 0) + 1
             if j != i:
                 deg[j] -= 1
-                base[j] += level
-                hit.add(j)
+                hit[j] = hit.get(j, 0) + 1
                 if i in saturated:
                     dep_edges.add((j, i))
                 if j in saturated:
                     dep_edges.add((i, j))
-        for i in hit:
-            if deg[i] and c_v[i] is not INF:
-                sat_level[i] = (c_v[i] - base[i]) / deg[i]
+        for i, m in hit.items():
+            if deg[i] and rem[i] is not INF:
+                # rem - m * level, then / deg, each reduced
+                num, den = rem[i]
+                num, den = num * ld - m * ln * den, den * ld
+                d = gcd(num, den)
+                rem[i] = num, den = num // d, den // d
+                sat_level[i] = _div(num, den, deg[i])
         live = [i for i in live if deg[i]]
         # from a list: tuple() of a generator over-allocates, then shrinks, and
         # the shrunk tuples made the process's memory grow call after call

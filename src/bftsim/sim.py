@@ -241,7 +241,10 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
     to six times before a draw among every candidate that passes.  A
     quarter of the rolls start an unstarted process, deliveries take the
     rolls below 0.7, computes the rest, and each falls back on the others
-    when it has no candidate.
+    when it has no candidate.  When every test refuses and no process is
+    unstarted, a refusal probability below 1 only delays: one more uniform
+    draw among the deliveries, or else among the computes; the world is
+    quiescent only when nothing is left that may ever be picked.
 
     The stop predicate is polled every ``_STOP_STRIDE`` events (stop conditions
     are persistent, so a short overshoot is harmless and saves the scan)."""
@@ -321,12 +324,19 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
                             if out_list:
                                 edge = _resample(out_list, True, blocked, p_deliver, rng, 6)
                             if edge is None:
-                                if not unstarted:
+                                if unstarted:
+                                    pid = unstarted[draw_index(getrandbits, len(unstarted))]
+                                elif out_list and not always_d:
+                                    # every test refused, but a refusal below 1
+                                    # only delays: the world is not quiescent
+                                    edge = out_list[draw_index(getrandbits, len(out_list))]
+                                elif in_list and not always_c:
+                                    pid = in_list[draw_index(getrandbits, len(in_list))]
+                                else:
                                     world.clock = clock
                                     if stop is not None and stop(world):
                                         return RunResult(clock, "stop", chain_depth, trace)
                                     return RunResult(clock, "quiescent", chain_depth, trace)
-                                pid = unstarted[draw_index(getrandbits, len(unstarted))]
 
             # -- apply -------------------------------------------------------
             ticking = good_pending or unstarted_good

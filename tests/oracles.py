@@ -208,7 +208,9 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
     deliveries below 0.7, computes above, starts of unstarted processes
     below 0.25 or when nothing else is pending, each falling back on the
     others.  A candidate is drawn uniformly, redrawn on refusal up to six
-    times, then drawn among every candidate that passes."""
+    times, then drawn among every candidate that passes.  When all are
+    refused and every process has started, a refusal probability below 1
+    gives one more uniform draw among the deliveries, or else the computes."""
     from bftsim.sim import _STOP_STRIDE, COMPUTE, CORRUPT, DELIVER, RunResult
 
     strategy.setup(world)
@@ -263,6 +265,11 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
                 return (DELIVER, e[0], e[1])
         if unstarted:
             return (COMPUTE, rng.choice(unstarted))
+        if outs and strategy.block_deliver < 1.0:  # refused, but only delayed
+            e = rng.choice(outs)
+            return (DELIVER, e[0], e[1])
+        if ins and strategy.block_compute < 1.0:
+            return (COMPUTE, rng.choice(ins))
         return None
 
     countdown = 1

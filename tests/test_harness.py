@@ -195,6 +195,7 @@ def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     runs += [_cli(*args) for args in (
         ("run", "--mode", "bracha", "--n", "1", "--f", "0"), ("run", "--n", "abc"),
         ("simplified-game", "--n", "1"), ("simplified-game", "--T", "-1"),
+        ("simplified-game", "--mode", "bracha", "--n", "9", "--T", "20"),  # a foreign mode
     )]
     for res in runs:
         assert res.returncode == 2, res.stderr
@@ -203,6 +204,20 @@ def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     assert "'stop'" in runs[0].stderr
     assert "'n'" in runs[1].stderr and "'seeds'" in runs[2].stderr and "'trace'" in runs[3].stderr
     assert "'eps'" in runs[4].stderr
+    assert "'bracha'" in runs[-1].stderr
+
+
+def test_cli_unreadable_input_exits_2_without_traceback(tmp_path):
+    # a missing file or one that is not a metrics file is a usage error too
+    runs = [_cli("verify", str(tmp_path / "missing.ndjson")),
+            _cli("run", "--config", str(tmp_path / "missing.cfg")),
+            _cli("verify", "README.md")]
+    for res in runs:
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("bftsim: error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+    assert "missing.ndjson" in runs[0].stderr and "missing.cfg" in runs[1].stderr
+    assert "README.md" in runs[2].stderr
 
 
 def test_cli_flags_mirror_config_fields():
@@ -483,6 +498,17 @@ def test_broadcast_fuzz_totality_is_liveness_over_live_processes():
                                      seeds=[1], max_events=50))[0]
     assert rec["stopped"] != "quiescent"
     assert rec["violations"] == [] and rec["total"] is False, rec
+
+
+def test_broadcast_fuzz_under_fuzz_is_total():
+    # the fuzz strategy refuses its blocked processes with probability below
+    # 1: that delays them and never blocks them, so a run is quiescent only
+    # once every live process has accepted every instance
+    recs = run_experiment(make_config(mode="broadcast-fuzz", n=5, f=1, adversary="fuzz",
+                                      seeds=[1, 2, 3, 4, 5, 6]))
+    for rec in recs:
+        assert rec["stopped"] == "quiescent" and rec["instances"] > 0
+        assert rec["violations"] == [] and rec["total"] is True, rec
 
 
 def _captured_run(monkeypatch, seed, **kwargs):

@@ -365,6 +365,77 @@ def test_rising_tide_matches_reference_with_tied_caps_and_infinite_vertices():
         _raise_matches_reference(CapacitatedGraph(g.n, c_v, finite))
 
 
+# -- the raise against its reference on every capacity type ------------------
+
+
+# small values shared across types, so that caps and levels of different
+# types tie; Fraction(1, 10) and 0.1 do not
+_TIES = (0, 1, 3, 0.1, 0.25, 0.5, Fraction(1, 10), Fraction(1, 3))
+
+
+def _caps(huge):
+    """A finite capacity of a type the raise reads: float, int, Fraction or
+    numpy float, subnormal ones included, and up to the largest float (ints
+    beyond it) when ``huge``, else below 1e300."""
+    top = 1.7976931348623157e308 if huge else 1e300
+    return st.one_of(
+        st.tuples(st.sampled_from(_TIES), st.sampled_from([float, int, Fraction, np.float64]))
+        .map(lambda t: t[1](t[0])),
+        st.floats(min_value=0.0, max_value=top),
+        st.floats(min_value=0.0, max_value=top).map(np.float64),
+        st.sampled_from([5e-324, 2.2250738585072014e-308, top]),
+        st.integers(0, 10**400 if huge else 10**300),
+        st.fractions(min_value=0, max_value=int(top), max_denominator=10**12),
+    )
+
+
+@st.composite
+def _mixed_graphs(draw):
+    """Up to 6 vertices and edges and self-loops in a drawn order, with zero
+    and infinite edge caps.  A graph has either unbounded vertices or caps
+    of 1e300 and more, not both: the reference subtracts the frozen mass of
+    an unbounded vertex from ``math.inf`` as a float, which overflows there."""
+    n = draw(st.integers(1, 6))
+    huge = draw(st.booleans())
+    cap = st.one_of(*[_caps(huge)] * 5, st.just(INF))
+    c_v = draw(st.lists(_caps(huge) if huge else cap, min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return CapacitatedGraph(n, c_v, {e: draw(cap) for e in chosen})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_graphs())
+def test_rising_tide_matches_reference_on_mixed_capacity_types(g):
+    try:
+        want, want_deps = reference_rising_tide(g)
+    except AssertionError as exc:
+        assert "no progress" in str(exc)
+        with pytest.raises(AssertionError, match="no progress"):
+            rising_tide(g)
+        return
+    got, got_deps = rising_tide(g)
+    assert list(got.mu.items()) == list(want.mu.items())
+    assert got.steps == want.steps
+    assert got_deps.edges == want_deps.edges
+    assert all(type(v) is Fraction for v in got.mu.values())
+    assert all(type(step.level) is Fraction for step in got.steps)
+
+
+def test_numpy_integer_capacities_read_as_ints():
+    # numpy ints have no as_integer_ratio; the raise reads them as plain
+    # ints, so their products cannot overflow 64 bits
+    big = 2**62
+    c_v, c_e = [3, big, 2, 1], {(0, 1): 2, (0, 2): INF, (1, 1): big - 1, (2, 3): 1}
+    want, want_deps = rising_tide(CapacitatedGraph(4, c_v, c_e))
+    got, got_deps = rising_tide(CapacitatedGraph(
+        4, [np.int64(x) for x in c_v],
+        {e: x if x is INF else np.int64(x) for e, x in c_e.items()}))
+    assert list(got.mu.items()) == list(want.mu.items())
+    assert got.steps == want.steps and got_deps.edges == want_deps.edges
+    assert all(type(v) is Fraction and type(v.numerator) is int for v in got.mu.values())
+
+
 @pytest.mark.parametrize("raise_", [rising_tide, reference_rising_tide])
 def test_unbounded_raise_refused(raise_):
     # only unbounded vertices and infinite edges are live: nothing can
