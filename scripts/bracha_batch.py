@@ -1,52 +1,24 @@
 #!/usr/bin/env python3
 """Batch Bracha-agreement runs across adversaries: safety/validity counters,
 decision latency, and event/chain-depth statistics."""
-import argparse
-import json
+from bftsim.cli import script_main
 
-from bftsim.harness import make_config, run_experiment
+DEFAULTS = {"mode": "bracha", "n": 9, "f": 2, "m": 4, "T": 16, "coin": "local", "inputs": "mixed",
+            "seeds": "0:50"}
+GRID = ["adversary=honest-random,crash-stop,starve-subset"]
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=9)
-    ap.add_argument("--f", type=int, default=2)
-    ap.add_argument("--m", type=int, default=4)
-    ap.add_argument("--T", type=int, default=16)
-    ap.add_argument("--coin", default="local", choices=["local", "blackboard"])
-    ap.add_argument("--inputs", default="mixed")
-    ap.add_argument("--seeds", default="0:50")
-    ap.add_argument(
-        "--adversaries", nargs="+",
-        default=["honest-random", "crash-stop", "starve-subset"],
-    )
-    ap.add_argument("--out")
-    args = ap.parse_args()
-
-    all_rows = []
-    for adversary in args.adversaries:
-        cfg = make_config(
-            mode="bracha", n=args.n, f=args.f, m=args.m, T=args.T, coin=args.coin,
-            adversary=adversary, inputs=args.inputs, seeds=args.seeds,
-        )
-        records = run_experiment(cfg)
-        decided = [r for r in records if r["decided"]]
-        summary = {
-            "adversary": adversary,
-            "runs": len(records),
-            "decided": len(decided),
-            "violations": sum(bool(r["violations"]) for r in records),
-            "mean_events": round(sum(r["events"] for r in records) / len(records), 1),
-            "max_chain_depth": max(r["chain_depth"] for r in records),
-            "max_decide_iteration": max((r["decide_iter_max"] for r in decided), default=-1),
-        }
-        print(json.dumps(summary))
-        all_rows.extend(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            for row in all_rows:
-                fh.write(json.dumps(row) + "\n")
+def summarize(cfg, records):
+    decided = [r for r in records if r["decided"]]
+    return {
+        "runs": len(records),
+        "decided": len(decided),
+        "violations": sum(bool(r["violations"]) for r in records),
+        "mean_events": round(sum(r["events"] for r in records) / len(records), 1),
+        "max_chain_depth": max(r["chain_depth"] for r in records),
+        "max_decide_iteration": max((r["decide_iter_max"] for r in decided), default=-1),
+    }
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(script_main(__doc__, DEFAULTS, summarize, GRID))

@@ -2,53 +2,21 @@
 """Detection-rate experiment for the simplified coin-flipping game.
 
 Sweeps game length T and reports how often the maximal inner-product pair
-contains a corrupted player, per adversary.  Writes a metrics file per cell
-when --out is given.
-"""
-import argparse
-import json
+contains a corrupted player, per adversary."""
+from bftsim.cli import script_main
 
-from bftsim.adversary import SIMPLE_ADVERSARIES
-from bftsim.stats import SimpleGameConfig, detect_pair, run_simplified_game
+DEFAULTS = {"mode": "simplified-game", "n": 20, "eps": 1.0, "seeds": "0:200"}
+GRID = ["T=500,1000,2000,4000", "adversary=simple-counteract,simple-colluding"]
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=20)
-    ap.add_argument("--eps", type=float, default=1.0)
-    ap.add_argument("--T", type=int, nargs="+", default=[500, 1000, 2000, 4000])
-    ap.add_argument("--seeds", type=int, default=200)
-    ap.add_argument(
-        "--adversaries", nargs="+", default=["simple-counteract", "simple-colluding"]
-    )
-    ap.add_argument("--out")
-    args = ap.parse_args()
-
-    rows = []
-    for name in args.adversaries:
-        adv = SIMPLE_ADVERSARIES[name]()
-        for T in args.T:
-            cfg = SimpleGameConfig(n=args.n, T=T, eps=args.eps)
-            hits = 0
-            for seed in range(args.seeds):
-                res = run_simplified_game(cfg, adv, seed, stop_on_loss=False)
-                pair = detect_pair(res.values)
-                hits += bool(set(pair) & res.bad)
-            row = {
-                "adversary": name,
-                "n": args.n,
-                "f": cfg.f,
-                "T": T,
-                "seeds": args.seeds,
-                "detection_rate": hits / args.seeds,
-            }
-            rows.append(row)
-            print(json.dumps(row))
-    if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
+def summarize(cfg, records):
+    return {
+        "n": cfg.n,
+        "f": cfg.f,
+        "runs": len(records),
+        "detection_rate": sum(r["contains_bad"] for r in records) / len(records),
+    }
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(script_main(__doc__, DEFAULTS, summarize, GRID))

@@ -1,68 +1,26 @@
 #!/usr/bin/env python3
 """Weight-dynamics experiment: epochs of the weighted coin game under a
-forcing adversary, reporting per-epoch weight vectors, the weight-loss
-invariant, and how runs end (agreement vs. epoch budget)."""
-import argparse
-import json
+forcing adversary, reporting how runs end (agreement vs. epoch budget), the
+weight-loss invariant, and the thresholds the weights are judged by.
+``--out`` keeps each run's final weights, ``--record-series`` its per-epoch
+weights too."""
+from bftsim.cli import script_main
 
-from bftsim.game import GameConfig, run_game
-from bftsim.params import ProtocolParams
+DEFAULTS = {"mode": "game", "n": 9, "f": 2, "eps": 0.5, "m": 8, "T": 256, "c": 4.0, "epochs": 5,
+            "adversary": "counteract", "seeds": "0:50"}
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=9)
-    ap.add_argument("--f", type=int, default=2)
-    ap.add_argument("--eps", type=float, default=0.5)
-    ap.add_argument("--m", type=int, default=8)
-    ap.add_argument("--T", type=int, default=256)
-    ap.add_argument("--c", type=float, default=4.0)
-    ap.add_argument("--epochs", type=int, default=5)
-    ap.add_argument("--seeds", type=int, default=50)
-    ap.add_argument("--adversary", default="counteract")
-    ap.add_argument("--zero-bad-weights", action="store_true")
-    ap.add_argument("--out")
-    args = ap.parse_args()
-
-    params = ProtocolParams(n=args.n, f=args.f, eps=args.eps, m=args.m, T=args.T, c=args.c)
-    rows = []
-    agree = inv_bad = 0
-    for seed in range(args.seeds):
-        cfg = GameConfig(
-            params=params,
-            adversary=args.adversary,
-            epochs=args.epochs,
-            seed=seed,
-            zero_bad_weights=args.zero_bad_weights,
-        )
-        rep = run_game(cfg)
-        agree += rep.agreement_reached
-        inv_bad += not all(ep.inv_ok for ep in rep.epochs)
-        rows.append(
-            {
-                "seed": seed,
-                "bad": sorted(rep.bad),
-                "agreement": rep.agreement_reached,
-                "ended_at": list(rep.ended_at) if rep.ended_at else None,
-                "invariant_ok": all(ep.inv_ok for ep in rep.epochs),
-                "weights": [[round(w, 9) for w in ep.weights_out] for ep in rep.epochs],
-            }
-        )
-    summary = {
-        "runs": args.seeds,
-        "agreement": agree,
-        "invariant_violations": inv_bad,
+def summarize(cfg, records):
+    params = cfg.params()
+    return {
+        "runs": len(records),
+        "agreement": sum(r["agreement"] for r in records),
+        "invariant_violations": sum(not r["invariant_ok"] for r in records),
         "alpha_T": params.alpha_T,
         "beta_T": params.beta_T,
         "w_min": params.w_min,
     }
-    print(json.dumps(summary))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(summary) + "\n")
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(script_main(__doc__, DEFAULTS, summarize))

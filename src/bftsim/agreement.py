@@ -108,17 +108,11 @@ class WeightBook:
         p = self.params
         if k % (p.k_max + 1) == 0:
             return 1.0
-        vec = self.board.cells.get((k * p.T + 1, 0, i))
-        if vec is None or not self._plausible_vector(vec):
+        vec = self.board.cells.get((k * p.T + 1, 0, i))  # n positions: the gate admits no other
+        if vec is None:
             return self.weight_of(i, k - 1)  # undisclosed: weight uncertain, column is blank anyway
-        w = self.viewer_weights(tuple(tuple(x) for x in vec), k)[i]
+        w = self.viewer_weights(vec, k)[i]
         return w if w > p.w_min else 0.0
-
-    def _plausible_vector(self, vec) -> bool:
-        try:
-            return len(vec) == self.params.n and all(len(tuple(x)) == 2 for x in vec)
-        except TypeError:
-            return False
 
     def viewer_weights(self, lastbar: tuple, k: int):
         """The local weight vector after epoch k computed by a viewer whose
@@ -156,39 +150,18 @@ def _weak(method):
 
 
 class _ProtocolProcess:
-    """Shared plumbing: one RB node, one blackboard node, wire fanout."""
+    """Shared plumbing: one RB node, the start and compute steps, wire
+    fan-out.  A subclass queues its first broadcasts in ``_begin`` and its
+    next ones in ``_advance``, which says whether it queued any."""
 
-    def __init__(self, pid, params: ProtocolParams, seed, coin_source=None):
+    def __init__(self, pid, params: ProtocolParams, gate=None, on_accept=None):
         self.pid = pid
         self.params = params
         self.n = params.n
         self._others = [dst for dst in range(params.n) if dst != pid]  # fan-out order
-        self.rng = random.Random(f"{seed}/proc/{pid}")
-        self.coin_source = coin_source  # None: a fair coin from self.rng
-        self.rb = RBNode(pid, params, gate=_weak(self._gate), on_accept=_weak(self._on_accept))
+        self.rb = RBNode(pid, params, gate=gate, on_accept=on_accept)
         self.admits = self.rb.admits  # the wire format the world screens corrupted sends with
-        self.board = BlackboardNode(
-            pid, params, _weak(self._coin_value), self.rb.broadcast,
-            on_final=_weak(self._board_final),
-        )
-        self._final_ready = []
         self.started_flag = False
-        self.write_log = {}  # (t, r) -> generated coin value, visible to the adversary
-
-    def _coin_value(self, t, r):
-        v = self.rng.choice((-1, 1)) if self.coin_source is None else self.coin_source(t, r)
-        self.write_log[(t, r)] = v
-        return v
-
-    def _gate(self, origin, seq, payload):
-        return self.board.gate(origin, payload)
-
-    def _on_accept(self, origin, seq, payload):
-        if payload[0] in (WRITE, ACK, LAST):
-            self.board.on_accept(origin, payload)
-
-    def _board_final(self, t, view):
-        self._final_ready.append(t)
 
     def _advance(self) -> bool:
         return False
@@ -225,7 +198,37 @@ class _ProtocolProcess:
         return [(dst, w) for w in self.rb.take_wire() for dst in others]
 
 
-class BlackboardProcess(_ProtocolProcess):
+class _BoardProcess(_ProtocolProcess):
+    """A process with a blackboard node behind its RB gate."""
+
+    def __init__(self, pid, params: ProtocolParams, seed, coin_source=None):
+        super().__init__(pid, params, gate=_weak(self._gate), on_accept=_weak(self._on_accept))
+        self.rng = random.Random(f"{seed}/proc/{pid}")
+        self.coin_source = coin_source  # None: a fair coin from self.rng
+        self.board = BlackboardNode(
+            pid, params, _weak(self._coin_value), self.rb.broadcast,
+            on_final=_weak(self._board_final),
+        )
+        self._final_ready = []
+        self.write_log = {}  # (t, r) -> generated coin value, visible to the adversary
+
+    def _coin_value(self, t, r):
+        v = self.rng.choice((-1, 1)) if self.coin_source is None else self.coin_source(t, r)
+        self.write_log[(t, r)] = v
+        return v
+
+    def _gate(self, origin, seq, payload):
+        return self.board.gate(origin, payload)
+
+    def _on_accept(self, origin, seq, payload):
+        if payload[0] in (WRITE, ACK, LAST):
+            self.board.on_accept(origin, payload)
+
+    def _board_final(self, t, view):
+        self._final_ready.append(t)
+
+
+class BlackboardProcess(_BoardProcess):
     """Runs the iterated blackboard for a fixed number of boards (no votes)."""
 
     def __init__(self, pid, params, seed, boards: int, coin_source=None):
@@ -256,7 +259,7 @@ class DecisionRecord:
     event_ordinal: int = -1
 
 
-class BrachaProcess(_ProtocolProcess):
+class BrachaProcess(_BoardProcess):
     """Three-phase validated agreement; the coin is either the shared
     blackboard coin or a private fair coin (baseline mode)."""
 

@@ -216,7 +216,7 @@ class BlackboardNode:
         self.finalize(t, list(pool.values()))
 
     def finalize(self, t, received):
-        bar = lex_max([tuple(tuple(p) for p in vec) for vec in received])
+        bar = lex_max(received)
         self.lastbar[t] = bar
         view = FinalView(t, bar, self.cells, self.n, self.m)
         self.views[t] = view

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (one configuration over a seed set), ``sweep`` (cross
 product over grid values), ``verify`` (re-check the traces in a metrics file
-or a bare trace bundle), ``simplified-game`` (the unweighted detection game).
+or a bare trace bundle), ``simplified-game`` (the unweighted detection game);
+``script_main`` is the entry point of the experiment scripts in ``scripts/``.
 Every ``ExperimentConfig`` field is a flag of the same name (``--max-events``
 for ``max_events``), plus ``--seed`` and ``--kmax`` as aliases.  A plain
 key=value config file may seed any subcommand; flags override it.  Files,
@@ -46,6 +47,11 @@ def _add_common(parser: argparse.ArgumentParser):
             parser.add_argument(*flags, dest=field.name)
 
 
+def _add_sweep(parser: argparse.ArgumentParser):
+    _add_common(parser)
+    parser.add_argument("--grid", action="append", metavar="KEY=V1,V2", default=[])
+
+
 def _collect(args) -> dict:
     kwargs = load_config_file(args.config) if args.config else {}
     for field in fields(ExperimentConfig):
@@ -61,6 +67,10 @@ def _finish(records, out, header) -> int:
     else:
         for rec in records:
             print(json.dumps(rec, separators=(",", ":")))
+    return _safety(records)
+
+
+def _safety(records) -> int:
     bad = [r for r in records if r.get("violations")]
     if bad:
         print(f"SAFETY VIOLATIONS in {len(bad)}/{len(records)} runs", file=sys.stderr)
@@ -73,27 +83,75 @@ def cmd_run(args) -> int:
     return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
+def _parse_grid(specs) -> dict:
+    grid = {}
+    for spec in specs:
+        key, _, values = spec.partition("=")
+        grid[key] = [coerce_config({key: v})[key] for v in values.split(",")]  # typed as in the config
+    return grid
+
+
+def sweep(base: dict, grid: dict, each_cell=None):
+    """Run the config ``base`` at every cell of the cross product over
+    ``grid`` (key -> values), keys in sorted order.  Returns the header, the
+    base config with the grid in place of the keys it varies, and every
+    run's record tagged with its cell's grid values.  ``each_cell(cell, cfg,
+    records)`` sees each cell's grid values, config and records as the cell
+    ends."""
+    keys = sorted(grid)
+    header, records = None, []
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        cell = dict(zip(keys, combo))
+        cfg = make_config(**{**base, **cell})
+        if header is None:
+            header = {k: v for k, v in header_record(cfg).items() if k not in grid}
+            header["grid"] = {k: grid[k] for k in keys}
+        runs = [{**cell, **rec} for rec in run_experiment(cfg)]
+        if each_cell is not None:
+            each_cell(cell, cfg, runs)
+        records += runs
+    return header, records
+
+
 def cmd_sweep(args) -> int:
     base = _collect(args)
     out = base.pop("out", None)
-    grid = {}
-    for spec in args.grid or []:
-        key, _, values = spec.partition("=")
-        grid[key] = [coerce_config({key: v})[key] for v in values.split(",")]  # typed as in the config
-    keys = sorted(grid)
-    header = None
-    all_records = []
-    for combo in itertools.product(*(grid[k] for k in keys)) if keys else [()]:
-        cfg = make_config(**{**base, **dict(zip(keys, combo))})
-        if header is None:
-            # the base config, with the grid in place of the keys it varies
-            header = {k: v for k, v in header_record(cfg).items() if k not in grid}
-            header["grid"] = {k: grid[k] for k in keys}
-        for rec in run_experiment(cfg):
-            tagged = dict(zip(keys, combo))
-            tagged.update(rec)
-            all_records.append(tagged)
-    return _finish(all_records, out, header)
+    header, records = sweep(base, _parse_grid(args.grid))
+    return _finish(records, out, header)
+
+
+def script_main(doc, defaults, summarize, grid=(), argv=None) -> int:
+    """An experiment script in ``scripts/``: the ``sweep`` flags over the
+    script's ``defaults`` (config keys, ``mode`` among them) and its default
+    ``grid`` (``KEY=V1,V2`` specs), whose keys a flag, the config file or
+    ``--grid`` may take over.  Prints one JSON line per grid cell, its grid
+    values then ``summarize(cfg, records)``; ``--out`` writes the sweep's
+    metrics file.  Exit status as for ``bftsim sweep``."""
+    shown = ", ".join(f"{k}={v}" for k, v in defaults.items())
+    parser = argparse.ArgumentParser(
+        description=f"{doc} Defaults: {shown}. Default grid: {' '.join(grid) or 'none'}.")
+    _add_sweep(parser)
+    args = parser.parse_args(argv)
+
+    def body():
+        given, asked = _collect(args), _parse_grid(args.grid)
+        _own_mode({**given, **asked}, defaults["mode"], parser.prog)
+        base = {**defaults, **given}
+        out = base.pop("out", None)
+        cells = {**{k: v for k, v in _parse_grid(grid).items() if k not in given}, **asked}
+        header, records = sweep(
+            base, cells, lambda cell, cfg, runs: print(json.dumps({**cell, **summarize(cfg, runs)})))
+        if out:
+            emit_metrics(records, out, header=header)
+        return _safety(records)
+
+    return _guarded(body)
+
+
+def _own_mode(kwargs, mode, prog):
+    """A front end for one mode refuses a config, or a grid, that names another."""
+    if kwargs.get("mode", mode) != mode:
+        raise ConfigInvalid(f"{prog} runs mode {mode!r}, not {kwargs['mode']!r}")
 
 
 def cmd_verify(args) -> int:
@@ -117,10 +175,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplified(args) -> int:
-    kwargs = {"adversary": "simple-counteract", "mode": "simplified-game", **_collect(args)}
-    if kwargs["mode"] != "simplified-game":
-        raise ConfigInvalid(f"simplified-game runs mode 'simplified-game', not {kwargs['mode']!r}")
-    cfg = make_config(**kwargs)
+    kwargs = {"adversary": "simple-counteract", **_collect(args)}
+    _own_mode(kwargs, "simplified-game", "simplified-game")
+    cfg = make_config(**{**kwargs, "mode": "simplified-game"})
     return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
@@ -133,8 +190,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="cross-product over --grid key=v1,v2")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--grid", action="append", metavar="KEY=V1,V2", default=[])
+    _add_sweep(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="re-check the traces a run --trace --out file holds")
@@ -148,14 +204,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _guarded(body) -> int:
     try:
-        return args.func(args)
+        return body()
     # a bad config, found before or during the run, or a file that cannot be read
     except (ConfigInvalid, OSError) as exc:
         print(f"bftsim: error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    return _guarded(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from .adversary import make_strategy
-from .agreement import BlackboardProcess, BrachaProcess, DecisionRecord, check_agreement
+from .agreement import (
+    BlackboardProcess, BrachaProcess, DecisionRecord, _ProtocolProcess, check_agreement,
+)
 from .blackboard import FinalView
-from .broadcast import RBNode
 from .game import GAME_OPPONENTS, GameConfig, run_game, weight_loss
 from .params import ConfigInvalid, ProtocolParams
 from .sim import WorldState, run
@@ -348,36 +349,13 @@ def run_blackboard_once(cfg: ExperimentConfig, seed: int) -> dict:
     })
 
 
-class AcceptCollector:
-    """Bare reliable-broadcast endpoint used by the broadcast fuzz."""
+class AcceptCollector(_ProtocolProcess):
+    """Bare reliable-broadcast endpoint used by the broadcast fuzz: no gate,
+    two payloads of its own."""
 
-    def __init__(self, pid, params):
-        self.pid = pid
-        self.n = params.n
-        self.rb = RBNode(pid, params)
-        self.admits = self.rb.admits
-        self.started_flag = False
-
-    def on_start(self):
-        self.started_flag = True
+    def _begin(self):
         for k in (1, 2):
             self.rb.broadcast(("data", self.pid, k))
-        return self._flush()
-
-    def on_compute(self, inbox):
-        for src, msg in inbox:
-            kind, origin, seq, payload = msg
-            self.rb.handle(src, kind, origin, seq, payload)
-        return self._flush()
-
-    def _flush(self):
-        self.rb.pump()
-        out = []
-        for w in self.rb.take_wire():
-            for dst in range(self.n):
-                if dst != self.pid:
-                    out.append((dst, w))
-        return out
 
 
 def run_broadcast_fuzz_once(cfg: ExperimentConfig, seed: int) -> dict:

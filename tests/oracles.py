@@ -292,16 +292,23 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
 def reference_rising_tide(g):
     """``matching.rising_tide`` as it was before the edgeless early return:
     every vertex and edge capacity made exact up front, every vertex scanned
-    in every step.  The reference the faster raise must match bit for bit."""
+    in every step.  The reference the faster raise must match bit for bit.
+    An unbounded vertex never saturates, so it bounds no step and is never
+    subtracted from; integers of any type become plain ``int``
+    numerators."""
+    import numbers
     from fractions import Fraction
 
-    from bftsim.matching import DependencyGraph, FractionalMatching, FreezeStep, _to_exact
+    from bftsim.matching import DependencyGraph, FractionalMatching, FreezeStep
+
+    def exact(x):
+        if x is INF:
+            return INF
+        return Fraction(int(x)) if isinstance(x, numbers.Integral) else Fraction(x)
 
     zero = Fraction(0)
-    c_v = [_to_exact(x) for x in g.c_v]
-    caps = {}
-    for e, cap in g.c_e.items():
-        caps[e] = _to_exact(cap)
+    c_v = [exact(x) for x in g.c_v]
+    caps = {e: exact(cap) for e, cap in g.c_e.items()}
 
     active = [e for e, cap in caps.items() if cap > 0]
     mu = {e: zero for e in caps}
@@ -325,11 +332,11 @@ def reference_rising_tide(g):
                 if delta is None or cand < delta:
                     delta = cand
         for i in range(g.n):
-            if deg[i]:
+            if deg[i] and c_v[i] is not INF:
                 cand = (c_v[i] - base[i] - deg[i] * level) / deg[i]
                 if delta is None or cand < delta:
                     delta = cand
-        if delta == INF:  # only infinite constraints are live: nothing ever saturates
+        if delta is None:  # only infinite constraints are live: nothing ever saturates
             raise AssertionError("no progress in rising tide step")
         if delta < zero:
             delta = zero
@@ -337,7 +344,7 @@ def reference_rising_tide(g):
 
         sat_v = set()
         for i in range(g.n):
-            if deg[i] and c_v[i] - (base[i] + deg[i] * level) <= zero:
+            if deg[i] and c_v[i] is not INF and c_v[i] - (base[i] + deg[i] * level) <= zero:
                 sat_v.add(i)
         sat_e = set()
         for e in active:

@@ -268,9 +268,9 @@ def test_weightbook_consensus_identical_across_processes():
 def _synthetic_board(seed, n=9, m=8, T=16, epochs=3, f=2):
     """Seeded cells for boards 1..epochs*T+1: f colluding columns that copy
     one biased leader on most boards, good columns of fair flips (some
-    partial), and row-0 disclosures at each epoch boundary that lag, are
-    missing or are malformed.  Returns (cells, bad, disclosed bars,
-    coin-time bars)."""
+    partial), and row-0 disclosures at each epoch boundary that lag or are
+    missing; a malformed one is missing too, as the gate keeps it off the
+    board.  Returns (cells, bad, disclosed bars, coin-time bars)."""
     import random
 
     rng = random.Random(f"weight-path/{seed}")
@@ -312,11 +312,10 @@ def _synthetic_board(seed, n=9, m=8, T=16, epochs=3, f=2):
             if roll < 0.15:
                 continue  # q never disclosed at this boundary
             if roll < 0.2:
-                cells[(t, 0, q)] = [[t - 1, m]] * (n - 1)  # wrong length: implausible
-                continue
+                continue  # q's disclosure was malformed: the gate kept it off the board
             vec = bar(t - 1)
             disclosed[(k, q)] = vec
-            cells[(t, 0, q)] = [list(p) for p in vec] if roll < 0.5 else vec
+            cells[(t, 0, q)] = vec
     coin_bars = {t: bar(t) for t in range(1, last_t + 1)}
     return cells, bad, disclosed, coin_bars
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from bftsim.adversary import CrashStop, make_strategy
 from bftsim.agreement import BlackboardProcess
+from bftsim.broadcast import ECHO, INIT, READY
 from bftsim.blackboard import DUMMY, NEVER, FinalView, history_of_writer, lex_max, WriterAbsent
 from bftsim.harness import check_views
 from bftsim.params import ProtocolParams
@@ -155,6 +156,40 @@ def test_gate_rejects_malformed_payloads():
     assert not h.board.gate(1, ("write", 2, 0, [NEVER] * 4))
     assert not h.board.gate(1, ("write", 2, 0, tuple([0, -1] for _ in range(4))))
     assert not h.board.gate(1, ("write", 2, 0, (NEVER,) * 3))
+
+
+def _deliver_instance(h, origin, payload):
+    """Every message of one RB instance, seq 1 of ``origin``, from every
+    other process: enough for an accept once the gate opens."""
+    others = [src for src in range(h.n) if src != h.pid]
+    h.on_compute([(origin, (INIT, origin, 1, payload))])
+    for kind in (ECHO, READY):
+        h.on_compute([(src, (kind, origin, 1, payload)) for src in others])
+
+
+def test_misshapen_vectors_never_reach_the_board():
+    # a LAST vector or a row-0 write after board 1 that is not a tuple of n
+    # (int, int) positions is never accepted, so neither lastvec_pool nor
+    # board.cells ever holds one; a well-formed one sent the same way is
+    params = ProtocolParams(n=4, f=1, m=2, T=16)
+
+    def board_after(payload, lasts=()):
+        h = BlackboardProcess(0, params, seed=0, boards=1)
+        h.board.on_accept(1, ("write", 1, 0, DUMMY))
+        for s in lasts:  # n-f LAST vectors of board 1 open row-0 writes to board 2
+            h.board.on_accept(s, ("last", 1, (NEVER,) * 4))
+        _deliver_instance(h, 2, payload)
+        return h.board
+
+    last = (NEVER, (1, 0), NEVER, NEVER)
+    assert board_after(("last", 1, last)).lastvec_pool == {1: {2: last}}
+    for vec in (list(last), (NEVER, (1, 0, 9), NEVER, NEVER), (NEVER, [1, 0], NEVER, NEVER),
+                (NEVER, (1.0, 0), NEVER, NEVER), last[:3]):
+        assert board_after(("last", 1, vec)).lastvec_pool == {}, vec
+    row0 = (NEVER,) * 4
+    assert board_after(("write", 2, 0, row0), lasts=(0, 1, 3)).cells[(2, 0, 2)] == row0
+    for vec in (list(row0), tuple([0, -1] for _ in range(4)), (NEVER, (0, -1.0), NEVER, NEVER), row0[:3]):
+        assert (2, 0, 2) not in board_after(("write", 2, 0, vec), lasts=(0, 1, 3)).cells, vec
 
 
 _LEAVES = st.integers(-2, 3) | st.sampled_from(["write", "ack", "last", "vote", "dummy"])

@@ -374,17 +374,18 @@ _TIES = (0, 1, 3, 0.1, 0.25, 0.5, Fraction(1, 10), Fraction(1, 3))
 
 
 def _caps(huge):
-    """A finite capacity of a type the raise reads: float, int, Fraction or
-    numpy float, subnormal ones included, and up to the largest float (ints
-    beyond it) when ``huge``, else below 1e300."""
+    """A finite capacity of a type the raise reads: float, int, Fraction,
+    numpy float or numpy int, subnormal ones included, and up to the largest
+    float (ints beyond it) when ``huge``, else below 1e300."""
     top = 1.7976931348623157e308 if huge else 1e300
     return st.one_of(
-        st.tuples(st.sampled_from(_TIES), st.sampled_from([float, int, Fraction, np.float64]))
+        st.tuples(st.sampled_from(_TIES), st.sampled_from([float, int, Fraction, np.float64, np.int64]))
         .map(lambda t: t[1](t[0])),
         st.floats(min_value=0.0, max_value=top),
         st.floats(min_value=0.0, max_value=top).map(np.float64),
         st.sampled_from([5e-324, 2.2250738585072014e-308, top]),
         st.integers(0, 10**400 if huge else 10**300),
+        st.integers(0, 2**63 - 1).map(np.int64),
         st.fractions(min_value=0, max_value=int(top), max_denominator=10**12),
     )
 
@@ -392,13 +393,11 @@ def _caps(huge):
 @st.composite
 def _mixed_graphs(draw):
     """Up to 6 vertices and edges and self-loops in a drawn order, with zero
-    and infinite edge caps.  A graph has either unbounded vertices or caps
-    of 1e300 and more, not both: the reference subtracts the frozen mass of
-    an unbounded vertex from ``math.inf`` as a float, which overflows there."""
-    n = draw(st.integers(1, 6))
-    huge = draw(st.booleans())
+    and infinite caps: unbounded vertices next to caps up to the largest
+    float, and numpy ints next to floats and big ints."""
+    n, huge = draw(st.integers(1, 6)), draw(st.booleans())
     cap = st.one_of(*[_caps(huge)] * 5, st.just(INF))
-    c_v = draw(st.lists(_caps(huge) if huge else cap, min_size=n, max_size=n))
+    c_v = draw(st.lists(cap, min_size=n, max_size=n))
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
     return CapacitatedGraph(n, c_v, {e: draw(cap) for e in chosen})
