@@ -49,10 +49,6 @@ def well_formed(payload, n) -> bool:
     )
 
 
-class WriterAbsent(KeyError):
-    """Reconstruction asked for a process that never wrote to the board."""
-
-
 def lex_max(vectors):
     """Pointwise lexicographic maximum of last-vectors."""
     out = list(vectors[0])
@@ -105,21 +101,6 @@ class FinalView:
 
     def full_columns(self, t_prime):
         return [i for i in range(self.n) if self.lastbar[i] >= (t_prime, self.m)]
-
-    def row0_payload(self, t_prime, q):
-        return self.cells.get((t_prime, 0, q))
-
-
-def history_of_writer(view: FinalView, q: int, t: int) -> FinalView:
-    """Reconstruct q's finalized history through board t-1 from the
-    last-vector q disclosed in its row-0 write to board t."""
-    payload = view.row0_payload(t, q)
-    if payload is None:
-        raise WriterAbsent(f"process {q} never wrote to board {t}")
-    if t == 1:
-        raise WriterAbsent("board 1 row-0 writes carry no history")
-    lastbar = tuple(tuple(p) for p in payload)
-    return FinalView(t - 1, lastbar, view.cells, view.n, view.m)
 
 
 class BlackboardNode:

@@ -97,15 +97,21 @@ def sweep(base: dict, grid: dict, each_cell=None):
     base config with the grid in place of the keys it varies, and every
     run's record tagged with its cell's grid values.  ``each_cell(cell, cfg,
     records)`` sees each cell's grid values, config and records as the cell
-    ends."""
+    ends.  Every cell's config is made before any runs, and a cell whose
+    config holds another value for one of its grid keys (one the mode
+    derives) raises ``ConfigInvalid``."""
     keys = sorted(grid)
-    header, records = None, []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cell = dict(zip(keys, combo))
-        cfg = make_config(**{**base, **cell})
-        if header is None:
-            header = {k: v for k, v in header_record(cfg).items() if k not in grid}
-            header["grid"] = {k: grid[k] for k in keys}
+    cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    configs = [make_config(**{**base, **cell}) for cell in cells]
+    for cell, cfg in zip(cells, configs):
+        for key, value in cell.items():
+            got = getattr(cfg, key)
+            if got != value:
+                raise ConfigInvalid(f"grid key {key!r}: {cfg.mode} derives it as {got!r}, not {value!r}")
+    header = {k: v for k, v in header_record(configs[0]).items() if k not in grid}
+    header["grid"] = {k: grid[k] for k in keys}
+    records = []
+    for cell, cfg in zip(cells, configs):
         runs = [{**cell, **rec} for rec in run_experiment(cfg)]
         if each_cell is not None:
             each_cell(cell, cfg, runs)

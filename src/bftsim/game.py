@@ -18,14 +18,17 @@ counteract opponent reads the good sum of every iteration, so its epochs run
 iteration by iteration; the others never read the good flips, so their
 epochs run whole, as array operations, with the same values bit for bit.
 Both end in the same frozen views and weight update.
+
+numpy is imported inside the functions that use it: every message-level run
+imports this module (through ``harness``) and never plays a game, so it
+never loads numpy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
-
-import numpy as np
 
 from .adversary import random_bad_set
 from .agreement import epoch_advance
@@ -55,6 +58,8 @@ class FlipStream:
     __slots__ = ("_rng", "_flips", "_cum", "_pos")
 
     def __init__(self, rng):
+        import numpy as np
+
         self._rng = rng
         self._flips = np.zeros(0, dtype=np.int64)  # drawn flips; _flips[_pos:] are untaken
         self._cum = None  # prefix sums of _flips, built when ``take`` first reads them
@@ -67,6 +72,8 @@ class FlipStream:
         if cum is None or end >= len(cum):  # the untaken flips, and a fresh block if short
             flips = self._flips[start:]
             if length > len(flips):
+                import numpy as np
+
                 fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, length)) * 2 - 1
                 flips = np.concatenate((flips, fresh))
             self._flips = flips
@@ -79,6 +86,8 @@ class FlipStream:
         """``rows`` calls of ``take(length)`` in one: the column sums and the
         last flips, as two arrays of ``rows`` values.  A refill draws what the
         block lacks, or a whole block if that is more."""
+        import numpy as np
+
         need = rows * length
         flips = self._flips[self._pos:]
         if need > len(flips):
@@ -154,7 +163,7 @@ class CounteractGame(GameOpponent):
             if remaining > 0 and w > 0:
                 take = min(cap, remaining / w)
                 remaining -= w * take
-                raw = int(np.ceil(take))
+                raw = math.ceil(take)
                 raw = min(raw + (raw - m) % 2, m) * sigma
             else:
                 raw = m % 2 if idx % 2 == 0 else -(m % 2)
@@ -234,6 +243,8 @@ def weight_loss(weights, bad, eps, f):
 
 
 def run_game(cfg: GameConfig) -> GameReport:
+    import numpy as np
+
     p = cfg.params
     if p.f > 0:
         p.require_quarter_resilience()
@@ -293,6 +304,8 @@ def _play_whole_epoch(cfg, p, opp, w, bad, good, streams, adv_rng):
     values of the iteration loop bit for bit.  Numpy reduces along axis 0 one
     row after another, so dev and corr stay sequential sums over t; a row sum
     of a 2-D array is not the 1-D pairwise sum, so sg is summed row by row."""
+    import numpy as np
+
     n, m, T, x_max = p.n, p.m, p.T, p.x_max
     sigma, bad_col = opp.epoch_moves(T, m, adv_rng)
     raw = np.zeros((T, n), dtype=np.int64)
@@ -327,6 +340,8 @@ def _play_whole_epoch(cfg, p, opp, w, bad, good, streams, adv_rng):
 def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):
     """Plays an epoch of a forcing opponent one iteration at a time: its
     moves read the good sum and plan partial columns."""
+    import numpy as np
+
     n, m, T, f, x_max = p.n, p.m, p.T, p.f, p.x_max
     good_ix = np.array(good)
     bad_order = sorted(bad)
@@ -392,6 +407,8 @@ def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):
 def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
     """The end of an epoch, for both ways of playing it: each viewer's frozen
     view, its epoch_advance, the consensus weights and the invariant."""
+    import numpy as np
+
     n, f, x_max = p.n, p.f, p.x_max
     dev, corr = played.dev, played.corr
     raw, lam, hideable = played.raw, played.lam, played.hideable

@@ -10,7 +10,6 @@ import json
 import math
 import os
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 from .adversary import make_strategy
@@ -210,10 +209,18 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
     for h in handlers:
         h.clock = lambda: world_ref().clock
 
+    max_iterations = cfg.max_iterations
+
     def done(active, _steady):
-        if active and all(h.decided is not None for h in active):
-            return True
-        return any(h.iteration > cfg.max_iterations for h in active)
+        # one pass: a handler past the iteration bound ends the run, else
+        # every active handler must have decided
+        decided = bool(active)
+        for h in active:
+            if h.iteration > max_iterations:
+                return True
+            if h.decided is None:
+                decided = False
+        return decided
 
     strategy, result = _run_mode(cfg, seed, world, done)
     starved = strategy.starved
@@ -479,6 +486,8 @@ def run_experiment(cfg: ExperimentConfig):
     seeds = sorted(cfg.seeds)
     threads = int(os.environ.get("BF_THREADS", "1") or "1")
     if threads > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_run_seed, [cfg] * len(seeds), seeds))
     return [_run_seed(cfg, seed) for seed in seeds]

@@ -118,29 +118,6 @@ class DependencyGraph:
     n: int
     edges: set
 
-    def is_dag(self) -> bool:
-        adj = {i: [] for i in range(self.n)}
-        indeg = {i: 0 for i in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            indeg[v] += 1
-        queue = [i for i in range(self.n) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            for v in adj[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        return seen == self.n
-
-
-def _to_exact(x):
-    if x is INF:
-        return INF
-    return Fraction(x)
-
 
 def _ratio(x):
     """``x`` as a reduced integer pair ``(num, den)`` with ``den > 0``;
@@ -269,23 +246,6 @@ def rising_tide(g: CapacitatedGraph):
     return FractionalMatching(g.n, mu, steps), DependencyGraph(g.n, dep_edges)
 
 
-def check_feasible(g: CapacitatedGraph, matching: FractionalMatching, tol=1e-9) -> bool:
-    for e, v in matching.mu.items():
-        if v < -tol or v > g.c_e.get(e, 0) + tol:
-            return False
-    return not any(s > cap + tol for s, cap in zip(matching.saturations(), g.c_v))
-
-
-def check_maximal(g: CapacitatedGraph, matching: FractionalMatching, tol=1e-9) -> bool:
-    """No edge with residual edge capacity may have both endpoints unsaturated."""
-    sat = [s >= cap - tol for s, cap in zip(matching.saturations(), g.c_v)]
-    for e, cap in g.c_e.items():
-        i, j = e
-        if matching.value(i, j) < cap - tol and not sat[i] and not sat[j]:
-            return False
-    return True
-
-
 def build_excess_graph(weights, dev, corr, params) -> CapacitatedGraph:
     """Excess graph for one epoch: vertex capacities are current weights,
     self-loops carry deviation excess, edges carry doubled correlation excess.
@@ -348,25 +308,3 @@ def reconcile_weights(local_vectors, prev_weights, params):
             unresolved.add(i)
     return out, frozenset(unresolved)
 
-
-def lipschitz_defect(g: CapacitatedGraph, h: CapacitatedGraph):
-    """Residual-weight movement between two inputs versus the eta_V + 2 eta_E budget.
-
-    Returns ``(lhs, bound)`` where ``lhs`` is the total difference of
-    post-matching residual vertex capacities and ``bound = eta_V + 2 eta_E``.
-    """
-    if g.n != h.n:
-        raise VertexSetMismatch(f"n={g.n} vs n={h.n}")
-    mg, _ = rising_tide(g)
-    mh, _ = rising_tide(h)
-    lhs = 0
-    for cg, sg, ch, sh in zip(g.c_v, mg.saturations(), h.c_v, mh.saturations()):
-        lhs += abs((_to_exact(cg) - sg) - (_to_exact(ch) - sh))
-    eta_v = sum(abs(_to_exact(g.c_v[i]) - _to_exact(h.c_v[i])) for i in range(g.n))
-    eta_e = 0
-    for e in set(g.c_e) | set(h.c_e):
-        a, b = g.c_e.get(e, 0), h.c_e.get(e, 0)
-        if a is INF and b is INF:
-            continue
-        eta_e += abs(_to_exact(a) - _to_exact(b))
-    return lhs, eta_v + 2 * eta_e

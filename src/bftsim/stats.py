@@ -3,14 +3,14 @@
 All statistics are pure functions over frozen views or plain arrays, so they
 can be evaluated concurrently across epochs and runs.  Accumulation uses
 compensated summation (math.fsum) to keep the cross-view disagreement
-analysis, not numeric error, the dominant discrepancy.
+analysis, not numeric error, the dominant discrepancy.  numpy is imported
+inside the functions that use it, so that importing this module, as every
+message-level run does through ``agreement``, does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import ConfigInvalid, sgn
 
@@ -23,6 +23,8 @@ def compute_stats(xs, weights):
     corr)``: a list of n sums and an n-by-n symmetric matrix with a zero
     diagonal.
     """
+    import numpy as np
+
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 2:
         raise ValueError("expected a T x n array of column sums")
@@ -80,6 +82,8 @@ def run_simplified_game(
     ``stopped_at`` reports where the game would have ended; detection tests
     condition on a full record.
     """
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC01F)))
     adv_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xADF)))
     n, f, T = cfg.n, cfg.f, cfg.T
@@ -111,6 +115,8 @@ def run_simplified_game(
 def detect_pair(values) -> tuple[int, int]:
     """The unordered pair (i, j), i != j, maximizing <X_i, X_j>, ties broken
     by smallest (i, j) lexicographically."""
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("need a rounds x n matrix with n >= 2")

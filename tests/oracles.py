@@ -1,15 +1,23 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and checkers used by the test suite.
 
-These deliberately avoid the library's own algorithms: the matching oracle is
-a fine-step forward-Euler simulation of the continuous lockstep raise, and
-the validation oracle enumerates subsets brute-force.
+The oracles deliberately avoid the library's own algorithms: the matching
+oracle is a fine-step forward-Euler simulation of the continuous lockstep
+raise, and the validation oracle enumerates subsets brute-force.  The
+checkers judge the library's outputs against their definitions: matching
+feasibility and maximality, the dependency graph's acyclicity, the
+Lipschitz budget of the raise, and a writer's history rebuilt from its
+row-0 disclosure.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from bftsim.blackboard import FinalView
+from bftsim.matching import VertexSetMismatch, rising_tide
 
 INF = math.inf
 
@@ -74,6 +82,87 @@ def brute_force_maximal_check(c_v, c_e, mu, tol=1e-7):
         if mu.get((i, j), 0.0) < cap - tol and not sat[i] and not sat[j]:
             return False
     return True
+
+
+def check_feasible(g, matching, tol=1e-9) -> bool:
+    for e, v in matching.mu.items():
+        if v < -tol or v > g.c_e.get(e, 0) + tol:
+            return False
+    return not any(s > cap + tol for s, cap in zip(matching.saturations(), g.c_v))
+
+
+def check_maximal(g, matching, tol=1e-9) -> bool:
+    """No edge with residual edge capacity may have both endpoints unsaturated."""
+    sat = [s >= cap - tol for s, cap in zip(matching.saturations(), g.c_v)]
+    for e, cap in g.c_e.items():
+        i, j = e
+        if matching.value(i, j) < cap - tol and not sat[i] and not sat[j]:
+            return False
+    return True
+
+
+def is_dag(deps) -> bool:
+    """Whether a ``DependencyGraph`` has no directed cycle (Kahn's algorithm)."""
+    adj = {i: [] for i in range(deps.n)}
+    indeg = {i: 0 for i in range(deps.n)}
+    for u, v in deps.edges:
+        adj[u].append(v)
+        indeg[v] += 1
+    queue = [i for i in range(deps.n) if indeg[i] == 0]
+    seen = 0
+    while queue:
+        u = queue.pop()
+        seen += 1
+        for v in adj[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return seen == deps.n
+
+
+def _to_exact(x):
+    if x is INF:
+        return INF
+    return Fraction(x)
+
+
+def lipschitz_defect(g, h):
+    """Residual-weight movement between two inputs versus the eta_V + 2 eta_E budget.
+
+    Returns ``(lhs, bound)`` where ``lhs`` is the total difference of
+    post-matching residual vertex capacities and ``bound = eta_V + 2 eta_E``.
+    """
+    if g.n != h.n:
+        raise VertexSetMismatch(f"n={g.n} vs n={h.n}")
+    mg, _ = rising_tide(g)
+    mh, _ = rising_tide(h)
+    lhs = 0
+    for cg, sg, ch, sh in zip(g.c_v, mg.saturations(), h.c_v, mh.saturations()):
+        lhs += abs((_to_exact(cg) - sg) - (_to_exact(ch) - sh))
+    eta_v = sum(abs(_to_exact(g.c_v[i]) - _to_exact(h.c_v[i])) for i in range(g.n))
+    eta_e = 0
+    for e in set(g.c_e) | set(h.c_e):
+        a, b = g.c_e.get(e, 0), h.c_e.get(e, 0)
+        if a is INF and b is INF:
+            continue
+        eta_e += abs(_to_exact(a) - _to_exact(b))
+    return lhs, eta_v + 2 * eta_e
+
+
+class WriterAbsent(KeyError):
+    """Reconstruction asked for a process that never wrote to the board."""
+
+
+def history_of_writer(view, q, t):
+    """Reconstruct q's finalized history through board t-1 from the
+    last-vector q disclosed in its row-0 write to board t."""
+    payload = view.cells.get((t, 0, q))
+    if payload is None:
+        raise WriterAbsent(f"process {q} never wrote to board {t}")
+    if t == 1:
+        raise WriterAbsent("board 1 row-0 writes carry no history")
+    lastbar = tuple(tuple(p) for p in payload)
+    return FinalView(t - 1, lastbar, view.cells, view.n, view.m)
 
 
 def sgn_subset_reachable(values, size, target_sign):

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from bftsim.adversary import CrashStop, make_strategy
 from bftsim.agreement import BlackboardProcess
 from bftsim.broadcast import ECHO, INIT, READY
-from bftsim.blackboard import DUMMY, NEVER, FinalView, history_of_writer, lex_max, WriterAbsent
+from bftsim.blackboard import DUMMY, NEVER, FinalView, lex_max
 from bftsim.harness import check_views
 from bftsim.params import ProtocolParams
 from bftsim.sim import WorldState, run
+
+from oracles import WriterAbsent, history_of_writer
 
 
 def test_lex_max_pointwise():

@@ -282,6 +282,53 @@ def test_cli_sweep(tmp_path):
                       "adversary": "honest-random", "seeds": [0, 1], "grid": {"n": [5, 6]}}
 
 
+def test_cli_sweep_refuses_a_grid_key_the_mode_derives():
+    # simplified-game derives f from n and eps: a grid over f would run one
+    # config once per value, each record tagged with the same derived f.  The
+    # sweep is refused before any cell runs, even when its first cell (f=2,
+    # the derived value) is sound: the script prints nothing
+    runs = [_cli("sweep", "--mode", "simplified-game", "--adversary", "simple-colluding", "--n", "8",
+                 "--T", "20", "--seeds", "0:1", "--grid", "f=1,2"),
+            subprocess.run([sys.executable, "scripts/detection_experiment.py", "--n", "8", "--seeds", "0:1",
+                            "--grid", "T=20", "--grid", "f=2,1"],
+                           capture_output=True, text=True, cwd=os.path.dirname(os.path.dirname(
+                               os.path.abspath(__file__))))]
+    for res in runs:
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("bftsim: error: ") and res.stderr.count("\n") == 1
+        assert "'f'" in res.stderr and res.stdout == ""
+    # a grid value equal to the derived one runs
+    res = _cli("sweep", "--mode", "simplified-game", "--adversary", "simple-colluding", "--n", "8",
+               "--T", "20", "--seeds", "0:1", "--grid", "f=2")
+    assert res.returncode == 0, res.stderr
+    assert [json.loads(line)["f"] for line in res.stdout.splitlines()] == [2]
+
+
+_FOOTPRINT = """
+import sys
+import bftsim.cli, bftsim.game, bftsim.harness
+from bftsim.harness import make_config, run_experiment
+for kwargs in (dict(mode="bracha", coin="local"), dict(mode="blackboard", m=4),
+               dict(mode="broadcast-fuzz", adversary="fuzz")):
+    run_experiment(make_config(n=4, f=1, seeds=[0], **kwargs))
+print(sorted(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
+run_experiment(make_config(mode="game", n=5, f=1, m=4, T=8, seeds=[0]))
+print("numpy" in sys.modules)
+"""
+
+
+def test_message_level_runs_import_no_numpy():
+    # numpy serves the statistics and the game engines only, and the worker
+    # pool only BF_THREADS > 1: a message-level run loads neither, and a game
+    # run does load numpy, so the first check is not vacuous
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "BF_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
+                         env=env, cwd=root, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True"]
+
+
 def _fresh_stop(mode, params, handlers, w, strategy, max_iterations):
     """The stop predicates as a scan of every handler on every poll."""
     starved = getattr(strategy, "starved", frozenset())

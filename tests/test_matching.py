@@ -11,9 +11,6 @@ from bftsim.matching import (
     NegativeCapacity,
     VertexSetMismatch,
     build_excess_graph,
-    check_feasible,
-    check_maximal,
-    lipschitz_defect,
     reconcile_weights,
     rising_tide,
     weight_update_local,
@@ -21,7 +18,11 @@ from bftsim.matching import (
 from bftsim.params import ProtocolParams
 
 from oracles import (
+    check_feasible,
+    check_maximal,
     euler_matching,
+    is_dag,
+    lipschitz_defect,
     random_graph,
     reference_rising_tide,
     reference_weight_update_local,
@@ -105,7 +106,7 @@ def test_dependency_properties_on_tie_free_graphs():
         if any(len(s.saturated_vertices) > 1 for s in m.steps):
             continue
         checked += 1
-        assert deps.is_dag()
+        assert is_dag(deps)
         # equal in-values: all dependency edges into a vertex carry equal mu
         for v in range(g.n):
             vals = {m.value(u, v) for (u, vv) in deps.edges if vv == v}
