@@ -233,14 +233,6 @@ STRATEGIES = {
 }
 
 
-def make_strategy(name, seed=0) -> Strategy:
-    try:
-        cls = STRATEGIES[name]
-    except KeyError:
-        raise KeyError(f"unknown adversary {name!r}; have {sorted(STRATEGIES)}") from None
-    return cls(seed)
-
-
 # -- simplified-game opponents ---------------------------------------------
 
 

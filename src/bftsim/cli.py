@@ -1,15 +1,17 @@
 """Command-line experiment runner.
 
-Subcommands: ``run`` (one configuration over a seed set), ``sweep`` (cross
-product over grid values), ``verify`` (re-check the traces in a metrics file
-or a bare trace bundle), ``simplified-game`` (the unweighted detection game);
+Subcommands: ``run`` (one configuration over a seed set, in any mode:
+``--mode simplified-game --adversary simple-counteract`` plays the unweighted
+detection game), ``sweep`` (cross product over grid values) and ``verify``
+(re-check the traces in a metrics file or a bare trace bundle);
 ``script_main`` is the entry point of the experiment scripts in ``scripts/``.
 Every ``ExperimentConfig`` field is a flag of the same name (``--max-events``
 for ``max_events``), plus ``--seed`` and ``--kmax`` as aliases.  A plain
 key=value config file may seed any subcommand; flags override it.  Files,
 flags and ``--grid`` values are typed and checked by the config alone.
 BF_THREADS caps the worker pool.  Exit status: 1 for a safety violation or a
-failed ``verify``, 2 for a bad config, an unreadable input file or usage.
+failed ``verify``, 2 for a bad config (BF_THREADS included), an unreadable or
+malformed input file, or usage.
 """
 from __future__ import annotations
 
@@ -87,19 +89,16 @@ def _parse_grid(specs) -> dict:
     grid = {}
     for spec in specs:
         key, _, values = spec.partition("=")
+        if key in grid:
+            raise ConfigInvalid(f"grid key {key!r} given twice")
         grid[key] = [coerce_config({key: v})[key] for v in values.split(",")]  # typed as in the config
     return grid
 
 
-def sweep(base: dict, grid: dict, each_cell=None):
-    """Run the config ``base`` at every cell of the cross product over
-    ``grid`` (key -> values), keys in sorted order.  Returns the header, the
-    base config with the grid in place of the keys it varies, and every
-    run's record tagged with its cell's grid values.  ``each_cell(cell, cfg,
-    records)`` sees each cell's grid values, config and records as the cell
-    ends.  Every cell's config is made before any runs, and a cell whose
-    config holds another value for one of its grid keys (one the mode
-    derives) raises ``ConfigInvalid``."""
+def _cells(base: dict, grid: dict):
+    """The cells of the cross product over ``grid``, keys in sorted order,
+    and each cell's config, made from ``base``; a cell whose config holds
+    another value for one of its grid keys raises ``ConfigInvalid``."""
     keys = sorted(grid)
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     configs = [make_config(**{**base, **cell}) for cell in cells]
@@ -108,8 +107,20 @@ def sweep(base: dict, grid: dict, each_cell=None):
             got = getattr(cfg, key)
             if got != value:
                 raise ConfigInvalid(f"grid key {key!r}: {cfg.mode} derives it as {got!r}, not {value!r}")
-    header = {k: v for k, v in header_record(configs[0]).items() if k not in grid}
-    header["grid"] = {k: grid[k] for k in keys}
+    return cells, configs
+
+
+def sweep(base: dict, grid: dict, each_cell=None):
+    """Run the config ``base`` at every cell of ``_cells(base, grid)``, all
+    of them made before any runs.  Returns the header, the base config with
+    the grid in place of the keys it varies and without a field that differs
+    between cells (a derived f), and every run's record tagged with its
+    cell's grid values.  ``each_cell(cell, cfg, records)`` sees each cell's
+    grid values, config and records as the cell ends."""
+    cells, configs = _cells(base, grid)
+    heads = [header_record(cfg) for cfg in configs]
+    header = {k: v for k, v in heads[0].items() if k not in grid and all(h[k] == v for h in heads)}
+    header["grid"] = {k: grid[k] for k in sorted(grid)}
     records = []
     for cell, cfg in zip(cells, configs):
         runs = [{**cell, **rec} for rec in run_experiment(cfg)]
@@ -141,7 +152,9 @@ def script_main(doc, defaults, summarize, grid=(), argv=None) -> int:
 
     def body():
         given, asked = _collect(args), _parse_grid(args.grid)
-        _own_mode({**given, **asked}, defaults["mode"], parser.prog)
+        mode = {**given, **asked}.get("mode", defaults["mode"])
+        if mode != defaults["mode"]:  # a script runs its own mode only
+            raise ConfigInvalid(f"{parser.prog} runs mode {defaults['mode']!r}, not {mode!r}")
         base = {**defaults, **given}
         out = base.pop("out", None)
         cells = {**{k: v for k, v in _parse_grid(grid).items() if k not in given}, **asked}
@@ -154,12 +167,6 @@ def script_main(doc, defaults, summarize, grid=(), argv=None) -> int:
     return _guarded(body)
 
 
-def _own_mode(kwargs, mode, prog):
-    """A front end for one mode refuses a config, or a grid, that names another."""
-    if kwargs.get("mode", mode) != mode:
-        raise ConfigInvalid(f"{prog} runs mode {mode!r}, not {kwargs['mode']!r}")
-
-
 def cmd_verify(args) -> int:
     with open(args.trace_file) as fh:
         try:
@@ -167,7 +174,10 @@ def cmd_verify(args) -> int:
         except ValueError as exc:  # not JSON, or not text
             raise ConfigInvalid(f"{args.trace_file} is not a metrics file: {exc}") from None
     f = None if args.f is None else coerce_config({"f": args.f})["f"]
-    verdicts = verify_trace(records, f=f)
+    try:
+        verdicts = verify_trace(records, f=f)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSON, but not trace records
+        raise ConfigInvalid(f"{args.trace_file} holds a line that is not a trace record: {exc!r}") from None
     for v in verdicts:
         status = "PASS" if v.ok else "FAIL"
         seed = f" seed={v.seed}" if v.seed is not None else ""
@@ -178,13 +188,6 @@ def cmd_verify(args) -> int:
         print(f"no verdict: {args.trace_file} holds no trace records", file=sys.stderr)
         return 1
     return 0 if all(v.ok for v in verdicts) else 1
-
-
-def cmd_simplified(args) -> int:
-    kwargs = {"adversary": "simple-counteract", **_collect(args)}
-    _own_mode(kwargs, "simplified-game", "simplified-game")
-    cfg = make_config(**{**kwargs, "mode": "simplified-game"})
-    return _finish(run_experiment(cfg), cfg.out, header_record(cfg))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -203,10 +206,6 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("trace_file")
     p_verify.add_argument("--f")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_simple = sub.add_parser("simplified-game", help="unweighted detection game")
-    _add_common(p_simple)
-    p_simple.set_defaults(func=cmd_simplified)
     return parser
 
 

@@ -12,7 +12,7 @@ import os
 import weakref
 from dataclasses import dataclass, field, fields, replace
 
-from .adversary import make_strategy
+from .adversary import SIMPLE_ADVERSARIES, STRATEGIES
 from .agreement import (
     BlackboardProcess, BrachaProcess, DecisionRecord, _ProtocolProcess, check_agreement,
 )
@@ -21,22 +21,11 @@ from .game import GAME_OPPONENTS, GameConfig, run_game, weight_loss
 from .params import ConfigInvalid, ProtocolParams
 from .sim import WorldState, run
 from .stats import SimpleGameConfig, detect_pair, run_simplified_game
-from . import adversary as _adversary
 
 SCHEMA = "bftsim-metrics-1"
 
-MODES = ("bracha", "blackboard", "broadcast-fuzz", "game", "simplified-game")
 COINS = ("local", "blackboard")
 INPUTS = ("mixed", "random", "unanimous+1", "unanimous-1")
-
-
-def adversary_catalog(mode):
-    """The adversary catalog a mode draws its ``adversary`` name from."""
-    if mode == "game":
-        return GAME_OPPONENTS
-    if mode == "simplified-game":
-        return _adversary.SIMPLE_ADVERSARIES
-    return _adversary.STRATEGIES
 
 
 @dataclass
@@ -66,11 +55,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigInvalid(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigInvalid(f"mode must be one of {sorted(MODES)}, got {self.mode!r}")
         if not self.seeds:
             raise ConfigInvalid("at least one seed required")
         for name, value, known in (("coin", self.coin, COINS), ("inputs", self.inputs, INPUTS),
-                                   ("adversary", self.adversary, adversary_catalog(self.mode))):
+                                   ("adversary", self.adversary, MODES[self.mode][1])):
             if value not in known:
                 raise ConfigInvalid(f"{self.mode} {name} must be one of {sorted(known)}, got {value!r}")
         if self.epochs < 1 or self.boards < 1:
@@ -154,7 +143,7 @@ def _run_mode(cfg, seed, world, done):
     ``steady`` those of them not slowed; with ``done=None`` the run goes on
     to quiescence or the budget.  Returns the strategy and the
     ``RunResult``."""
-    strategy = make_strategy(cfg.adversary, seed)
+    strategy = STRATEGIES[cfg.adversary](seed)
     stop = None
     if done is not None:
         key = lists = None
@@ -386,72 +375,67 @@ def run_broadcast_fuzz_once(cfg: ExperimentConfig, seed: int) -> dict:
     })
 
 
+def _rounded(weights) -> list:
+    """Weights as a record holds them, to 12 places."""
+    return [round(w, 12) for w in weights]
+
+
+def _abs_mean(series) -> float:
+    """The mean |x| of a series, to 6 places; 0 for an empty one."""
+    return round(sum(abs(x) for x in series) / max(1, len(series)), 6)
+
+
 def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
     params = cfg.params()
-    gc = GameConfig(
+    report = run_game(GameConfig(
         params=params,
         adversary=cfg.adversary,
         epochs=cfg.epochs,
         seed=seed,
         zero_bad_weights=cfg.zero_bad_weights,
         record_series=cfg.record_series,
-    )
-    report = run_game(gc)
+    ))
+    epochs = report.epochs
     bad = sorted(report.bad)
     good = [i for i in range(params.n) if i not in report.bad]
+    final = epochs[-1].weights_out
+    invariant_ok = all(ep.inv_ok for ep in epochs)
     rec = {
         "seed": seed,
         "mode": cfg.mode,
         "bad": bad,
-        "epochs_used": len(report.epochs),
+        "epochs_used": len(epochs),
         "agreement": report.agreement_reached,
         "ended_at": list(report.ended_at) if report.ended_at else None,
-        "invariant_ok": all(ep.inv_ok for ep in report.epochs),
-        "weights_final": [round(w, 12) for w in report.epochs[-1].weights_out],
-        "bad_weight_final": round(sum(report.epochs[-1].weights_out[i] for i in bad), 12),
-        "good_weight_final": round(sum(report.epochs[-1].weights_out[i] for i in good), 12),
+        "invariant_ok": invariant_ok,
+        "weights_final": _rounded(final),
+        "bad_weight_final": round(sum(final[i] for i in bad), 12),
+        "good_weight_final": round(sum(final[i] for i in good), 12),
         "unanimous_frac": round(
-            sum(ep.unanimous_iters for ep in report.epochs)
-            / max(1, sum(ep.iters_played for ep in report.epochs)),
+            sum(ep.unanimous_iters for ep in epochs) / max(1, sum(ep.iters_played for ep in epochs)),
             6,
         ),
-        "violations": [] if all(ep.inv_ok for ep in report.epochs) else ["invariant-3.3"],
+        "violations": [] if invariant_ok else ["invariant-3.3"],
     }
     if cfg.record_series:
-        rec["weights_per_epoch"] = [[round(w, 12) for w in ep.weights_out] for ep in report.epochs]
-        rec["sg_abs_mean"] = [
-            round(sum(abs(x) for x in ep.sg_series) / max(1, len(ep.sg_series)), 6)
-            for ep in report.epochs
-        ]
-        rec["sb_abs_mean"] = [
-            round(sum(abs(x) for x in ep.sb_series) / max(1, len(ep.sb_series)), 6)
-            for ep in report.epochs
-        ]
-        rec["dev_max"] = [round(float(max(ep.dev)), 6) for ep in report.epochs]
-        rec["corr_max"] = [
-            round(float(ep.corr.max()) if ep.corr.size else 0.0, 6) for ep in report.epochs
-        ]
+        rec["weights_per_epoch"] = [_rounded(ep.weights_out) for ep in epochs]
+        rec["sg_abs_mean"] = [_abs_mean(ep.sg_series) for ep in epochs]
+        rec["sb_abs_mean"] = [_abs_mean(ep.sb_series) for ep in epochs]
+        rec["dev_max"] = [round(float(max(ep.dev)), 6) for ep in epochs]
+        rec["corr_max"] = [round(float(ep.corr.max()) if ep.corr.size else 0.0, 6) for ep in epochs]
     if cfg.trace:
         rec["trace"] = [
-            {
-                "rec": "weights",
-                "epoch": ep.epoch,
-                "weights": [round(w, 12) for w in ep.weights_out],
-                "bad": bad,
-                "eps": cfg.eps,
-                "f": cfg.f,
-            }
-            for ep in report.epochs
+            {"rec": "weights", "epoch": ep.epoch, "weights": _rounded(ep.weights_out), "bad": bad,
+             "eps": cfg.eps, "f": cfg.f}
+            for ep in epochs
         ]
     return rec
 
 
 def run_simplified_once(cfg: ExperimentConfig, seed: int) -> dict:
     sg = cfg.simple_game
-    adv_cls = _adversary.SIMPLE_ADVERSARIES[cfg.adversary]
-    result = run_simplified_game(sg, adv_cls(), seed, stop_on_loss=False)
+    result = run_simplified_game(sg, SIMPLE_ADVERSARIES[cfg.adversary](), seed, stop_on_loss=False)
     pair = detect_pair(result.values) if result.rounds_played >= 2 else None
-    contains_bad = bool(pair) and bool(set(pair) & result.bad)
     return {
         "seed": seed,
         "mode": cfg.mode,
@@ -461,43 +445,42 @@ def run_simplified_once(cfg: ExperimentConfig, seed: int) -> dict:
         "survived": result.survived,
         "stopped_at": result.stopped_at,
         "pair": list(pair) if pair else None,
-        "contains_bad": contains_bad,
+        "contains_bad": bool(pair) and bool(set(pair) & result.bad),
         "bad": sorted(result.bad),
         "violations": [],
     }
 
 
-_RUNNERS = {
-    "bracha": run_bracha_once,
-    "blackboard": run_blackboard_once,
-    "broadcast-fuzz": run_broadcast_fuzz_once,
-    "game": run_game_once,
-    "simplified-game": run_simplified_once,
+# every mode: its runner, and the catalog its ``adversary`` names one of
+MODES = {
+    "bracha": (run_bracha_once, STRATEGIES),
+    "blackboard": (run_blackboard_once, STRATEGIES),
+    "broadcast-fuzz": (run_broadcast_fuzz_once, STRATEGIES),
+    "game": (run_game_once, GAME_OPPONENTS),
+    "simplified-game": (run_simplified_once, SIMPLE_ADVERSARIES),
 }
-
-
-def _run_seed(cfg, seed):
-    return _RUNNERS[cfg.mode](cfg, seed)
 
 
 def run_experiment(cfg: ExperimentConfig):
     """One run per seed, deterministic; seeds may execute in a worker pool
     (BF_THREADS) and are merged back in ascending seed order."""
+    runner = MODES[cfg.mode][0]
     seeds = sorted(cfg.seeds)
-    threads = int(os.environ.get("BF_THREADS", "1") or "1")
+    try:
+        threads = int(os.environ.get("BF_THREADS", "1") or "1")
+    except ValueError:
+        raise ConfigInvalid(f"BF_THREADS must be an integer, got {os.environ['BF_THREADS']!r}") from None
     if threads > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_seed, [cfg] * len(seeds), seeds))
-    return [_run_seed(cfg, seed) for seed in seeds]
+            return list(pool.map(runner, [cfg] * len(seeds), seeds))
+    return [runner(cfg, seed) for seed in seeds]
 
 
 def header_record(cfg: ExperimentConfig) -> dict:
-    head = {"schema": SCHEMA, "rec": "header", "mode": cfg.mode, "n": cfg.n, "f": cfg.f}
-    head["adversary"] = cfg.adversary
-    head["seeds"] = list(sorted(cfg.seeds))
-    return head
+    return {"schema": SCHEMA, "rec": "header", "mode": cfg.mode, "n": cfg.n, "f": cfg.f,
+            "adversary": cfg.adversary, "seeds": sorted(cfg.seeds)}
 
 
 def emit_metrics(records, path, header=None):

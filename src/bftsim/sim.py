@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from operator import itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .params import ProtocolParams
 
@@ -200,7 +200,6 @@ class RunResult:
     events: int
     stopped: str  # "stop" | "quiescent" | "max-events"
     chain_depth: int
-    trace: list = field(default_factory=list)
 
 
 _STOP_STRIDE = 16
@@ -273,10 +272,10 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
                 if stop is not None:
                     world.clock = clock
                     if stop(world):
-                        return RunResult(clock, "stop", chain_depth, trace)
+                        return RunResult(clock, "stop", chain_depth)
                 countdown = _STOP_STRIDE
             if clock >= max_events:
-                return RunResult(clock, "max-events", chain_depth, trace)
+                return RunResult(clock, "max-events", chain_depth)
 
             # -- pick --------------------------------------------------------
             if rotate is not None:
@@ -335,8 +334,8 @@ def run(world: WorldState, strategy, stop=None, max_events: int = 1_000_000) -> 
                                 else:
                                     world.clock = clock
                                     if stop is not None and stop(world):
-                                        return RunResult(clock, "stop", chain_depth, trace)
-                                    return RunResult(clock, "quiescent", chain_depth, trace)
+                                        return RunResult(clock, "stop", chain_depth)
+                                    return RunResult(clock, "quiescent", chain_depth)
 
             # -- apply -------------------------------------------------------
             ticking = good_pending or unstarted_good

@@ -278,7 +278,7 @@ def run_captured(cfg, seed, driver):
     real = harness.run
     harness.run = capture
     try:
-        rec = harness._RUNNERS[cfg.mode](cfg, seed)
+        rec = harness.MODES[cfg.mode][0](cfg, seed)
     finally:
         harness.run = real
     world = seen["world"]
@@ -366,15 +366,15 @@ def reference_run(world, strategy, stop=None, max_events=1_000_000):
         countdown -= 1
         if countdown <= 0:
             if stop is not None and stop(world):
-                return RunResult(world.clock, "stop", world.chain_depth, world.trace)
+                return RunResult(world.clock, "stop", world.chain_depth)
             countdown = _STOP_STRIDE
         if world.clock >= max_events:
-            return RunResult(world.clock, "max-events", world.chain_depth, world.trace)
+            return RunResult(world.clock, "max-events", world.chain_depth)
         event = next_event()
         if event is None:
             if stop is not None and stop(world):
-                return RunResult(world.clock, "stop", world.chain_depth, world.trace)
-            return RunResult(world.clock, "quiescent", world.chain_depth, world.trace)
+                return RunResult(world.clock, "stop", world.chain_depth)
+            return RunResult(world.clock, "quiescent", world.chain_depth)
         world.apply(event, strategy)
 
 

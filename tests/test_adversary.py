@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bftsim.adversary import STRATEGIES, SIMPLE_ADVERSARIES, Strategy, make_strategy
+from bftsim.adversary import STRATEGIES, SIMPLE_ADVERSARIES, Strategy
 from bftsim.broadcast import INIT
 from bftsim.game import GameConfig, run_game
 from bftsim.harness import make_config, run_bracha_once, run_experiment
@@ -26,8 +26,6 @@ def test_registry_contents():
     assert {"honest-random", "crash-stop", "starve-subset", "counteract",
             "colluding", "fuzz", "equivocator"} <= set(STRATEGIES)
     assert {"simple-honest", "simple-counteract", "simple-colluding"} <= set(SIMPLE_ADVERSARIES)
-    with pytest.raises(KeyError):
-        make_strategy("nonsense")
 
 
 def test_strategies_respect_fault_budget():
@@ -55,7 +53,7 @@ def test_counteract_effectiveness_at_scale():
 
 
 def test_colluding_copies_leader_exactly():
-    strat = make_strategy("colluding", seed=4)
+    strat = STRATEGIES["colluding"](4)
 
     class W:
         class params:

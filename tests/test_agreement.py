@@ -14,7 +14,7 @@ from bftsim.agreement import (
     make_bracha_justify,
     vote_round,
 )
-from bftsim.adversary import make_strategy
+from bftsim.adversary import STRATEGIES
 from bftsim.blackboard import FinalView
 from bftsim.harness import ExperimentConfig, run_bracha_once
 from bftsim.params import ProtocolParams
@@ -214,7 +214,7 @@ def test_blackboard_coin_splits_only_when_sum_is_small():
             for pid in range(4)
         ]
         world = WorldState(params, handlers)
-        strategy = make_strategy("fuzz", seed)
+        strategy = STRATEGIES["fuzz"](seed)
 
         def stop(w):
             active = [h for h in handlers if h.pid not in w.corrupted]
@@ -250,7 +250,7 @@ def test_weightbook_consensus_identical_across_processes():
     handlers = [BrachaProcess(pid, params, 5, -1 if pid == 0 else 1, coin="blackboard")
                 for pid in range(4)]
     world = WorldState(params, handlers)
-    strategy = make_strategy("honest-random", 5)
+    strategy = STRATEGIES["honest-random"](5)
 
     def stop(w):
         return all(h.board.done_t >= params.T + 1 for h in handlers)  # into epoch 2

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftsim.adversary import CrashStop, make_strategy
+from bftsim.adversary import STRATEGIES, CrashStop
 from bftsim.agreement import BlackboardProcess
 from bftsim.broadcast import ECHO, INIT, READY
 from bftsim.blackboard import DUMMY, NEVER, FinalView, lex_max
@@ -33,7 +33,7 @@ def _finished_world(n=4, f=1, m=2, boards=2, seed=0, adversary="honest-random", 
     params = ProtocolParams(n=n, f=f, m=m, T=16)
     handlers = [BlackboardProcess(pid, params, seed, boards=boards) for pid in range(n)]
     world = WorldState(params, handlers)
-    strategy = make_strategy(adversary, seed)
+    strategy = STRATEGIES[adversary](seed)
 
     def stop(w):
         starved = getattr(strategy, "starved", frozenset())

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -52,10 +53,10 @@ def test_config_rejects_unknown_names_and_empty_runs(bad):
 
 
 def test_config_accepts_every_catalogued_name():
-    from bftsim.harness import COINS, INPUTS, MODES, adversary_catalog
+    from bftsim.harness import COINS, INPUTS, MODES
 
-    for mode in MODES:
-        for name in adversary_catalog(mode):
+    for mode, (_runner, catalog) in MODES.items():
+        for name in catalog:
             make_config(mode=mode, n=9, f=2, adversary=name)
     for coin in COINS:
         for inputs in INPUTS:
@@ -161,12 +162,13 @@ def test_verify_trace_weight_loss_violation_detection():
     assert not bra.ok
 
 
-def _cli(*args):
+def _cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "bftsim.cli", *args],
         capture_output=True,
         text=True,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env,
     )
 
 
@@ -186,7 +188,9 @@ def test_cli_run_and_exit_status(tmp_path):
 def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     # a bad config is a usage error, exit 2, not a safety violation (exit 1):
     # one line on stderr, whether it is found when a value is typed, when the
-    # config is made or when a runner builds its parameters (n=1)
+    # config is made or when a runner builds its parameters (n=1); a grid key
+    # given twice, whose second values would replace the first, and a
+    # BF_THREADS that is not a number are bad configs too
     files = []
     for k, text in enumerate(("stop=boards:3", "n=abc", "seeds=a:b", "trace=maybe", "eps=nan")):
         files.append(tmp_path / f"f{k}")
@@ -194,30 +198,40 @@ def test_cli_bad_config_exits_2_without_traceback(tmp_path):
     runs = [_cli("run", "--config", str(path)) for path in files]
     runs += [_cli(*args) for args in (
         ("run", "--mode", "bracha", "--n", "1", "--f", "0"), ("run", "--n", "abc"),
-        ("simplified-game", "--n", "1"), ("simplified-game", "--T", "-1"),
-        ("simplified-game", "--mode", "bracha", "--n", "9", "--T", "20"),  # a foreign mode
+        ("run", "--mode", "simplified-game", "--adversary", "simple-counteract", "--n", "1"),
+        ("run", "--mode", "simplified-game", "--adversary", "simple-counteract", "--T", "-1"),
+        ("sweep", "--f", "1", "--seeds", "0", "--grid", "n=5", "--grid", "n=6"),
     )]
+    runs.append(_cli("run", "--seeds", "0:2", env={**os.environ, "BF_THREADS": "abc"}))
     for res in runs:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("bftsim: error: ") and res.stderr.count("\n") == 1
-        assert "Traceback" not in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
     assert "'stop'" in runs[0].stderr
     assert "'n'" in runs[1].stderr and "'seeds'" in runs[2].stderr and "'trace'" in runs[3].stderr
     assert "'eps'" in runs[4].stderr
-    assert "'bracha'" in runs[-1].stderr
+    assert "'n' given twice" in runs[-2].stderr and "BF_THREADS" in runs[-1].stderr
 
 
 def test_cli_unreadable_input_exits_2_without_traceback(tmp_path):
-    # a missing file or one that is not a metrics file is a usage error too
+    # a missing file, one that is not a metrics file, or JSON lines that are
+    # not trace records are usage errors too
     runs = [_cli("verify", str(tmp_path / "missing.ndjson")),
             _cli("run", "--config", str(tmp_path / "missing.cfg")),
             _cli("verify", "README.md")]
+    malformed = ('{"rec":"event","ordinal":1}', '{"rec":"accept","pid":0}', "[1,2]")
+    for k, line in enumerate(malformed):
+        path = tmp_path / f"malformed{k}.ndjson"
+        path.write_text(line + "\n")
+        runs.append(_cli("verify", str(path), "--f", "1"))
     for res in runs:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("bftsim: error: ") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
     assert "missing.ndjson" in runs[0].stderr and "missing.cfg" in runs[1].stderr
     assert "README.md" in runs[2].stderr
+    for k, res in enumerate(runs[3:]):
+        assert f"malformed{k}.ndjson" in res.stderr
 
 
 def test_cli_flags_mirror_config_fields():
@@ -232,7 +246,8 @@ def test_cli_flags_mirror_config_fields():
     parser = _parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     names = [f.name for f in fields(ExperimentConfig)]
-    for command in ("run", "sweep", "simplified-game"):
+    assert sorted(subs) == ["run", "sweep", "verify"]
+    for command in ("run", "sweep"):
         flags = {a.dest: a.option_strings for a in subs[command]._actions if a.dest in names}
         assert sorted(flags) == sorted(names), command
         for name in names:
@@ -246,7 +261,7 @@ def test_cli_flags_mirror_config_fields():
 
 def test_cli_simplified_game():
     res = _cli(
-        "simplified-game", "--n", "12", "--T", "400", "--eps", "1.0",
+        "run", "--mode", "simplified-game", "--n", "12", "--T", "400", "--eps", "1.0",
         "--adversary", "simple-colluding", "--seeds", "0:2",
     )
     assert res.returncode == 0, res.stderr
@@ -259,8 +274,8 @@ def test_cli_simplified_game_header_f_is_the_derived_f(tmp_path):
     # f = floor(n / (3 + eps)), whatever --f says: the header and every
     # record name the same f
     out = tmp_path / "simple.ndjson"
-    res = _cli("simplified-game", "--n", "20", "--f", "2", "--T", "50", "--seeds", "0:2",
-               "--out", str(out))
+    res = _cli("run", "--mode", "simplified-game", "--adversary", "simple-counteract", "--n", "20",
+               "--f", "2", "--T", "50", "--seeds", "0:2", "--out", str(out))
     assert res.returncode == 0, res.stderr
     header, records = parse_metrics(out)
     assert header["f"] == 5 and [r["f"] for r in records] == [5, 5]
@@ -302,6 +317,42 @@ def test_cli_sweep_refuses_a_grid_key_the_mode_derives():
                "--T", "20", "--seeds", "0:1", "--grid", "f=2")
     assert res.returncode == 0, res.stderr
     assert [json.loads(line)["f"] for line in res.stdout.splitlines()] == [2]
+
+
+def test_cli_sweep_header_leaves_out_fields_the_cells_differ_in(tmp_path):
+    # simplified-game derives f from n: the header names no f, and each
+    # record names its own
+    out = tmp_path / "sweep.ndjson"
+    res = _cli("sweep", "--mode", "simplified-game", "--adversary", "simple-colluding", "--T", "20",
+               "--seeds", "0", "--grid", "n=8,20", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    header, records = parse_metrics(out)
+    assert "f" not in header and header["grid"] == {"n": [8, 20]}
+    assert [(r["n"], r["f"]) for r in records] == [(8, 2), (20, 5)]
+
+
+def _readme_commands():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.startswith("bftsim ")]
+
+
+def test_readme_cli_commands_parse_and_make_their_configs():
+    # every command README's CLI block shows parses, and makes its config,
+    # or each of its sweep's, without running
+    from bftsim.cli import _cells, _collect, _parse_grid, _parser
+
+    commands = _readme_commands()
+    assert {cmd[1] for cmd in commands} == {"run", "sweep", "verify"}
+    for cmd in commands:
+        args = _parser().parse_args(cmd[1:])
+        if args.command == "run":
+            make_config(**_collect(args))
+        elif args.command == "sweep":
+            assert _cells(_collect(args), _parse_grid(args.grid))[1], cmd
 
 
 _FOOTPRINT = """
@@ -505,10 +556,10 @@ _MODE_VERDICTS = {
 
 
 def _mode_strategies():
-    from bftsim.harness import adversary_catalog
+    from bftsim.harness import MODES
 
     for mode, kwargs in sorted(_TRACED_MODES.items()):
-        for adversary in sorted(adversary_catalog(kwargs["mode"])):
+        for adversary in sorted(MODES[kwargs["mode"]][1]):
             yield mode, adversary
 
 
