@@ -118,7 +118,7 @@ class BlackboardNode:
         self.cells = {}
         self.last = [NEVER] * self.n
         self.complete = set()
-        self.ack_senders = {}
+        self.ack_senders = {}  # (t, r, q) -> mask of ACK senders, bit i for process i
         self.full_cols = {}  # t -> columns with need acks on row m
         self._col_counted = set()  # (t, q)
         self._line3_done = set()  # (t, r) thresholds consumed for own writes
@@ -156,11 +156,10 @@ class BlackboardNode:
         elif tag == ACK:
             _, t, r, q = payload
             key = (t, r, q)
-            senders = self.ack_senders.get(key)
-            if senders is None:
-                senders = self.ack_senders[key] = set()
-            senders.add(origin)
-            if r == self.m and len(senders) >= self.need and (t, q) not in self._col_counted:
+            senders = self.ack_senders.get(key, 0) | 1 << origin
+            self.ack_senders[key] = senders
+            acks = senders.bit_count()
+            if r == self.m and acks >= self.need and (t, q) not in self._col_counted:
                 self._col_counted.add((t, q))
                 self.full_cols[t] = self.full_cols.get(t, 0) + 1
                 self._check_complete(t)
@@ -168,7 +167,7 @@ class BlackboardNode:
                 q == self.pid
                 and self.my_row.get(t) == r
                 and (t, r) not in self._line3_done
-                and len(senders) >= self.need
+                and acks >= self.need
             ):
                 self._line3_done.add((t, r))
                 if t not in self.complete and r < self.m:
@@ -230,8 +229,7 @@ class BlackboardNode:
                 return lex_max(below) == value
             if r > self.m or type(value) is not int or value not in (1, -1):
                 return False  # a coin write fills a row 1..m with +-1
-            senders = self.ack_senders.get((t, r - 1, origin))
-            return senders is not None and len(senders) >= self.need
+            return self.ack_senders.get((t, r - 1, origin), 0).bit_count() >= self.need
         if tag == ACK:
             _, t, r, q = payload
             return (t, r, q) in self.cells

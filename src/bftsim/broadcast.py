@@ -79,6 +79,10 @@ class RBInstance:
 class RBNode:
     """Per-process reliable-broadcast engine with FIFO and participation gating.
 
+    ``instances`` holds only the open instances: ``pump`` frees each one as
+    it accepts it, so a process's state grows with what is in flight, not
+    with its message history.
+
     ``gate(origin, seq, payload)`` must be pure and monotone: once it opens
     for a payload of an instance it stays open for that payload, because the
     local state it reads only grows.  Each instance therefore consults the
@@ -236,10 +240,7 @@ class RBNode:
         for key in self._gated:
             inst = self.instances.get(key)
             if inst is None:
-                continue
-            if self.next_seq[inst.origin] > inst.seq:
-                inst.pending = ()  # already accepted; late reactions are moot
-                continue
+                continue  # accepted and freed; late reactions are moot
             remaining = []
             for src, kind, payload in inst.pending:
                 if payload == inst.opened or self.gate(inst.origin, inst.seq, payload):
@@ -263,6 +264,9 @@ class RBNode:
                 origin, seq, payload = self.accept_queue.popleft()
                 self.accepted_log.append((origin, seq, payload))
                 self.next_seq[origin] = seq + 1
+                # the FIFO gate now stops every message for this instance
+                # before handle reads it, so its state is dead
+                del self.instances[origin, seq]
                 if origin == self.pid:
                     self.own_inflight = False
                     self._pump_own()
@@ -303,16 +307,16 @@ class ValidationLedger:
         self.f = f
         self.justify = justify
         self.claims = {}  # (q, r) -> value (first claim wins)
-        self.validated = {}  # (q, r) -> value
+        self.validated = {}  # r -> {q: value}, in validation order
         self.counts = {}  # r -> {value: count of validated}
-        self.totals = {}  # r -> count of validated
         self.pending = {}  # r -> set of q with unvalidated claims
 
     def validated_count(self, r) -> int:
-        return self.totals.get(r, 0)
+        return len(self.validated.get(r, ()))
 
-    def validated_values(self, r):
-        return {q: v for (q, rr), v in self.validated.items() if rr == r}
+    def validated_values(self, r) -> dict:
+        """``{q: value}`` of round r's validated claims, in validation order."""
+        return dict(self.validated.get(r, ()))
 
     def add_claim(self, q, r, value):
         """Record q's round-r claim and cascade validations.  Returns the list
@@ -325,19 +329,18 @@ class ValidationLedger:
 
     def _try_validate(self, q, r):
         value = self.claims[(q, r)]
+        prev_pool = self.validated.get(r - 1, {})
         prev_value = None
         if r > 1:
-            prev_value = self.validated.get((q, r - 1))
+            prev_value = prev_pool.get(q)
             if prev_value is None:
                 return False
         counts = self.counts.get(r - 1, {})
-        total = self.totals.get(r - 1, 0)
-        if not self.justify(r, value, prev_value, counts, total):
+        if not self.justify(r, value, prev_value, counts, len(prev_pool)):
             return False
-        self.validated[(q, r)] = value
+        self.validated.setdefault(r, {})[q] = value
         c = self.counts.setdefault(r, {})
         c[value] = c.get(value, 0) + 1
-        self.totals[r] = self.totals.get(r, 0) + 1
         return True
 
     def _cascade(self, start_round):

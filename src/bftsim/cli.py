@@ -23,6 +23,7 @@ from dataclasses import fields
 
 from .harness import (
     ExperimentConfig,
+    TraceInvalid,
     coerce_config,
     emit_metrics,
     header_record,
@@ -176,8 +177,8 @@ def cmd_verify(args) -> int:
     f = None if args.f is None else coerce_config({"f": args.f})["f"]
     try:
         verdicts = verify_trace(records, f=f)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSON, but not trace records
-        raise ConfigInvalid(f"{args.trace_file} holds a line that is not a trace record: {exc!r}") from None
+    except TraceInvalid as exc:  # JSON, but not trace records
+        raise ConfigInvalid(f"{args.trace_file}: {exc}") from None
     for v in verdicts:
         status = "PASS" if v.ok else "FAIL"
         seed = f" seed={v.seed}" if v.seed is not None else ""

@@ -409,7 +409,7 @@ def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
         "ended_at": list(report.ended_at) if report.ended_at else None,
         "invariant_ok": invariant_ok,
         "weights_final": _rounded(final),
-        "bad_weight_final": round(sum(final[i] for i in bad), 12),
+        "bad_weight_final": round(sum((final[i] for i in bad), 0.0), 12),
         "good_weight_final": round(sum(final[i] for i in good), 12),
         "unanimous_frac": round(
             sum(ep.unanimous_iters for ep in epochs) / max(1, sum(ep.iters_played for ep in epochs)),
@@ -524,13 +524,71 @@ class Verdict:
     seed: int | None = None  # the run whose trace it judges, in a metrics file
 
 
+class TraceInvalid(ValueError):
+    """``verify_trace`` was handed something that is not a trace record; the
+    message names the first such record."""
+
+
+def _is(*types):
+    return lambda v: isinstance(v, types)
+
+
+def _list_of(ok, size=None):
+    return lambda v: isinstance(v, list) and size in (None, len(v)) and all(map(ok, v))
+
+
+_INT, _STR, _NUM = _is(int), _is(str), _is(int, float)
+# rec kind -> the fields its verdicts read, each with the test of its JSON value
+_TRACE_FIELDS = {
+    "event": {"ordinal": _INT, "kind": _STR, "src": _INT, "dst": _INT, "digest": _STR},
+    "input": {"pid": _INT, "value": _INT},
+    "decide": {"pid": _INT, "iteration": _INT, "value": _INT},
+    "accept": {"pid": _INT, "origin": _INT, "seq": _INT, "payload": _STR},
+    "final": {"pid": _INT, "t": _INT, "lastbar": _list_of(_list_of(_INT, 2))},
+    "cell": {"t": _INT, "r": _INT, "i": _INT, "value": _INT},
+    "weights": {"epoch": _INT, "weights": _list_of(_NUM), "bad": _list_of(_INT), "eps": _NUM, "f": _INT},
+    # a run record or the header: the f a verdict falls back on
+    None: {"f": _is(int, type(None))},
+    "header": {"f": _is(int, type(None))},
+}
+
+
+def _check_records(records, where="record"):
+    """Raise TraceInvalid at the first entry of ``records`` that is not a
+    trace record: not a dict, a known ``rec`` kind with a field its verdicts
+    cannot read, or a ``final`` record out of line with the others (a
+    last-vector of another length, or a board other than its process's next)."""
+    if not isinstance(records, list):
+        raise TraceInvalid(f"{where}s are not a list: {records!r:.80}")
+    n, next_t = None, {}
+    for k, rec in enumerate(records, 1):
+        if not isinstance(rec, dict) or not isinstance(rec.get("rec"), (str, type(None))):
+            raise TraceInvalid(f"{where} {k} is not a trace record: {rec!r:.80}")
+        tests = _TRACE_FIELDS.get(rec.get("rec"), {})
+        bad = next((name for name, ok in tests.items() if not ok(rec.get(name))), None)
+        if bad is None and rec.get("rec") == "final":
+            n = len(rec["lastbar"]) if n is None else n
+            if len(rec["lastbar"]) != n:
+                bad = "lastbar"
+            elif rec["t"] != next_t.get(rec["pid"], 1):
+                bad = "t"
+            next_t[rec["pid"]] = rec["t"] + 1
+        if bad is not None:
+            raise TraceInvalid(f"{where} {k} is not a trace record (field {bad!r}): {rec!r:.80}")
+
+
 def verify_trace(records, f=None) -> list:
     """Verdicts on an exported trace: a bare bundle of trace records, or a
     metrics file whose run records carry one under ``trace`` (as ``run
     --trace --out`` writes), each verdict then labelled with its run's seed.
     ``f`` comes from the argument, else from the run record (a sweep tags it
     there), else from the header; a verdict that needs an unknown f is
-    omitted."""
+    omitted.  Raises TraceInvalid, naming the record, for one that is not a
+    trace record."""
+    _check_records(records)
+    for k, run in enumerate(records, 1):
+        if "trace" in run:
+            _check_records(run["trace"], f"record {k}, trace record")
     header = next((r for r in records if r.get("rec") == "header"), {})
     runs = [r for r in records if "trace" in r]
     if not runs:

@@ -8,7 +8,6 @@ strategy) gives bit-identical traces.  Distinct runs share nothing.
 """
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from operator import itemgetter
 from dataclasses import dataclass
@@ -32,6 +31,8 @@ _src_of = itemgetter(0)
 
 
 def msg_digest(msg) -> str:
+    import hashlib  # here, not at the top: only traced runs digest messages
+
     return hashlib.sha256(repr(msg).encode()).hexdigest()[:16]
 
 

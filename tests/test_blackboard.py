@@ -323,3 +323,29 @@ def test_gate_is_monotone(monkeypatch, cfg):
     assert {"write", "ack", "last"} <= tags
     still_open = [real(node, origin, payload) for node, origin, payload in opened]
     assert all(still_open)
+
+
+def test_fuzz_run_keeps_only_live_state(monkeypatch):
+    # a whole run frees every instance it accepted and counts ACK senders as
+    # int masks: what is left at the end is only what is still in flight
+    from bftsim import harness
+
+    worlds = []
+    real_run_mode = harness._run_mode
+
+    def run_mode(cfg, seed, world, done):
+        worlds.append(world)
+        return real_run_mode(cfg, seed, world, done)
+
+    monkeypatch.setattr(harness, "_run_mode", run_mode)
+    cfg = harness.make_config(mode="blackboard", n=8, f=2, m=8, T=16, adversary="fuzz", boards=2,
+                              seeds=[1])
+    rec = harness.run_blackboard_once(cfg, 1)
+    assert rec["violations"] == [] and rec["finalizers"] >= cfg.n - cfg.f
+    (world,) = worlds
+    good = [h for h in world.handlers if h.pid not in world.corrupted]
+    assert sum(len(h.rb.accepted_log) for h in good) > 100 * len(good)
+    for h in good:
+        assert all(seq >= h.rb.next_seq[origin] for origin, seq in h.rb.instances)
+        assert len(h.rb.instances) <= cfg.n
+        assert h.board.ack_senders and all(type(v) is int for v in h.board.ack_senders.values())

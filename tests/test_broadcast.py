@@ -69,6 +69,34 @@ def test_equivocating_sender_banned_and_recorded():
     assert not _senders(node, READY, "a")
 
 
+def test_accepted_instance_is_freed_and_late_messages_are_inert():
+    node = _node()
+    node.handle(1, READY, 1, 1, "m")
+    node.handle(2, READY, 1, 1, "m")
+    assert (1, 1) in node.instances  # accepted, but not yet pumped
+    node.pump()
+    assert node.accepted_log == [(1, 1, "m")] and node.next_seq[1] == 2
+    assert (1, 1) not in node.instances
+    node.take_wire()
+    # the FIFO gate drops every late message before it could reopen the instance
+    for src, kind, payload in ((3, ECHO, "m"), (3, READY, "m"), (3, READY, "x"), (2, ECHO, "m")):
+        node.handle(src, kind, 1, 1, payload)
+    node.pump()
+    assert node.instances == {} and node.accepted_log == [(1, 1, "m")]
+    assert node.take_wire() == [] and not node.has_work()
+
+
+def test_accept_frees_an_instance_with_gated_messages():
+    node = _node(gate=lambda o, s, p: p == "m")
+    node.handle(3, ECHO, 1, 1, "b")  # gated: "b" never opens
+    assert node.has_work()
+    node.handle(1, READY, 1, 1, "m")
+    node.handle(2, READY, 1, 1, "m")
+    node.pump()
+    assert node.accepted_log == [(1, 1, "m")] and node.instances == {}
+    assert not node.has_work()  # the gated "b" went with its instance
+
+
 def test_init_only_counts_from_origin():
     node = _node()
     node.handle(3, INIT, 1, 1, "m")
@@ -217,14 +245,14 @@ def _sign_justify(n, f):
 def test_validate_base_case_and_pending():
     ledger = ValidationLedger(4, 1, _sign_justify(4, 1))
     ledger.add_claim(0, 1, 1)
-    assert (0, 1) in ledger.validated
+    assert 0 in ledger.validated_values(1)
     ledger.add_claim(0, 2, 1)
-    assert (0, 2) not in ledger.validated  # needs 3 validated round-1 votes
+    assert 0 not in ledger.validated_values(2)  # needs 3 validated round-1 votes
     ledger.add_claim(1, 1, 1)
-    assert (0, 2) not in ledger.validated
+    assert 0 not in ledger.validated_values(2)
     ledger.add_claim(2, 1, -1)
     # cascade: the pending round-2 claim re-checks once round 1 fills in
-    assert (0, 2) in ledger.validated
+    assert 0 in ledger.validated_values(2)
 
 
 def test_validate_rejects_unjustifiable_sign():
@@ -232,9 +260,21 @@ def test_validate_rejects_unjustifiable_sign():
     for q in range(4):
         ledger.add_claim(q, 1, 1)
     ledger.add_claim(3, 2, -1)
-    assert (3, 2) not in ledger.validated  # all-ones pool cannot justify -1
+    assert 3 not in ledger.validated_values(2)  # all-ones pool cannot justify -1
     ledger.add_claim(2, 2, 1)
-    assert (2, 2) in ledger.validated
+    assert 2 in ledger.validated_values(2)
+
+
+def test_validated_values_by_round_in_validation_order():
+    ledger = ValidationLedger(4, 1, _sign_justify(4, 1))
+    ledger.add_claim(2, 2, 1)  # pending until round 1 fills in
+    for q, v in ((3, 1), (0, -1), (1, 1)):
+        ledger.add_claim(q, 1, v)
+    assert list(ledger.validated_values(1).items()) == [(3, 1), (0, -1), (1, 1)]
+    assert ledger.validated_values(2) == {} and ledger.validated_count(2) == 0
+    ledger.add_claim(2, 1, 1)
+    assert ledger.validated_values(2) == {2: 1} and ledger.validated_count(1) == 4
+    assert ledger.validated_values(3) == {}
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,8 +302,8 @@ def test_validation_witness_replay():
     for q, v in enumerate([1, 1, -1, 1]):
         ledger.add_claim(q, 1, v)
     ledger.add_claim(0, 2, 1)
-    assert (0, 2) in ledger.validated
-    pool = [v for (q, r), v in ledger.validated.items() if r == 1]
+    assert 0 in ledger.validated_values(2)
+    pool = list(ledger.validated_values(1).values())
     assert sgn_subset_reachable(pool, 3, 1)
 
 

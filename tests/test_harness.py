@@ -234,6 +234,32 @@ def test_cli_unreadable_input_exits_2_without_traceback(tmp_path):
         assert f"malformed{k}.ndjson" in res.stderr
 
 
+def test_verify_trace_names_the_first_record_that_is_not_one():
+    # called directly, the verifier raises one typed error for the records
+    # the CLI turns into exit status 2, and names the record
+    from bftsim.harness import TraceInvalid
+
+    ok = {"rec": "input", "pid": 0, "value": 1}
+    cases = (([{"rec": "event", "ordinal": 1}], "record 1", "'kind'"),
+             ([{"rec": "accept", "pid": 0}], "record 1", "'origin'"),
+             ([[1, 2]], "record 1", "[1, 2]"),
+             ([ok, ok, [1, 2]], "record 3", "[1, 2]"),
+             ([{"seed": 0, "trace": [ok, "x"]}], "record 1, trace record 2", "'x'"))
+    for records, where, what in cases:
+        with pytest.raises(TraceInvalid, match="not a trace record") as err:
+            verify_trace(records, f=1)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value).startswith(where + " ") and what in str(err.value)
+
+
+def test_game_record_weights_are_floats():
+    # an empty bad set sums to 0.0, not to the int 0
+    rec = run_experiment(make_config(mode="game", n=9, f=2, seeds=[0]))[0]
+    assert rec["bad"] == [] and rec["good_weight_final"] == 9.0
+    assert type(rec["bad_weight_final"]) is float and rec["bad_weight_final"] == 0.0
+    assert '"bad_weight_final":0.0' in json.dumps(rec, separators=(",", ":"))
+
+
 def test_cli_flags_mirror_config_fields():
     # one flag per config field, named after it, in every subcommand that
     # makes a config; --seed and --kmax stay as aliases
@@ -362,22 +388,25 @@ from bftsim.harness import make_config, run_experiment
 for kwargs in (dict(mode="bracha", coin="local"), dict(mode="blackboard", m=4),
                dict(mode="broadcast-fuzz", adversary="fuzz")):
     run_experiment(make_config(n=4, f=1, seeds=[0], **kwargs))
-print(sorted(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
+print(sorted(m for m in ("numpy", "concurrent.futures.process", "hashlib") if m in sys.modules))
+run_experiment(make_config(mode="bracha", coin="local", n=4, f=1, seeds=[0], trace=True))
+print(sorted(m for m in ("numpy", "hashlib") if m in sys.modules))
 run_experiment(make_config(mode="game", n=5, f=1, m=4, T=8, seeds=[0]))
 print("numpy" in sys.modules)
 """
 
 
 def test_message_level_runs_import_no_numpy():
-    # numpy serves the statistics and the game engines only, and the worker
-    # pool only BF_THREADS > 1: a message-level run loads neither, and a game
-    # run does load numpy, so the first check is not vacuous
+    # numpy serves the statistics and the game engines only, the worker pool
+    # only BF_THREADS > 1, and hashlib only traced runs: an untraced
+    # message-level run loads none of them.  A traced run does load hashlib
+    # and a game run numpy, so the first check is not vacuous
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "BF_THREADS": "1"}
     res = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
                          env=env, cwd=root, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "True"]
+    assert res.stdout.splitlines() == ["[]", "['hashlib']", "True"]
 
 
 def _fresh_stop(mode, params, handlers, w, strategy, max_iterations):
