@@ -36,66 +36,77 @@ from .matching import reconcile_weights
 from .params import ConfigInvalid, ProtocolParams, clamp_coin_sum, sgn
 
 
-_FLIP_BLOCK = 1024  # flips drawn per refill: 8 kB of array per process
+_FLIP_BLOCK = 1024  # flips drawn per refill: 512 PCG64 words per process
+
+
+def _flip_bits(words):
+    """The 0/1 flips ``Generator.integers(0, 2)`` reads from PCG64 ``words``: each
+    32-bit half's top bit, low half first, as Lemire's draw never rejects at 2."""
+    import numpy as np
+
+    return (np.asarray(words, dtype="<u8").view("<u4") >> 31).astype(np.int64)
 
 
 class FlipStream:
-    """One process's fair +-1 flips, drawn from its generator a block at a
-    time and read back as column sums.
+    """One process's fair +-1 flips, kept as 0/1 bits read from its PCG64
+    words a block at a time; ``length`` flips sum to ``2 * ones - length``.
 
     ``take(length)`` returns ``(raw, last)`` for the next ``length`` flips:
-    their sum and the last one; ``length`` must be positive.  This equals
-    ``flips = rng.integers(0, 2, size=length) * 2 - 1`` followed by
-    ``(flips.sum(), flips[-1])``, because on PCG64 every
-    ``integers(0, 2, ...)`` value takes exactly one buffered 32-bit draw, so
-    any split of the draws into calls yields the same sequence
-    (``tests/test_game.py::test_flip_stream_matches_per_call_draws`` pins
-    this).  The block drawn past the last flip a run takes is never seen:
-    the generator must belong to the stream alone, which ``run_game``
-    guarantees by keeping the process generators private.
+    their sum and the last one; ``length`` must be positive.  It and
+    ``take_columns`` equal ``flips = rng.integers(0, 2, size=length) * 2 - 1``
+    then ``(flips.sum(), flips[-1])``, for any split of the flips into calls
+    (``tests/test_game.py`` pins this).  The generator must be a PCG64 with
+    no buffered 32-bit half and belong to the stream alone, as ``run_game``'s
+    fresh, private process generators do: flips drawn past the last one
+    taken are never seen.
     """
 
-    __slots__ = ("_rng", "_flips", "_cum", "_pos")
+    __slots__ = ("_draw", "_bits", "_cum", "_pos")
 
     def __init__(self, rng):
         import numpy as np
 
-        self._rng = rng
-        self._flips = np.zeros(0, dtype=np.int64)  # drawn flips; _flips[_pos:] are untaken
-        self._cum = None  # prefix sums of _flips, built when ``take`` first reads them
+        self._draw = rng.bit_generator.random_raw
+        self._bits = np.zeros(0, dtype=np.int64)  # drawn flips; _bits[_pos:] are untaken
+        self._cum = None  # prefix sums of _bits, built when ``take`` first reads them
         self._pos = 0
+
+    def _words(self, short):  # for at least ``short`` more flips, and a whole block
+        return self._draw((max(_FLIP_BLOCK, short) + 1) // 2)
 
     def take(self, length):
         start = self._pos
         end = start + length
         cum = self._cum
         if cum is None or end >= len(cum):  # the untaken flips, and a fresh block if short
-            flips = self._flips[start:]
-            if length > len(flips):
+            bits = self._bits[start:]
+            if length > len(bits):
                 import numpy as np
 
-                fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, length)) * 2 - 1
-                flips = np.concatenate((flips, fresh))
-            self._flips = flips
-            cum = self._cum = list(accumulate(flips.tolist(), initial=0))
+                bits = np.concatenate((bits, _flip_bits(self._words(length - len(bits)))))
+            self._bits = bits
+            cum = self._cum = list(accumulate(bits.tolist(), initial=0))
             start, end = 0, length
         self._pos = end
-        return cum[end] - cum[start], cum[end] - cum[end - 1]
+        return 2 * (cum[end] - cum[start]) - length, 2 * (cum[end] - cum[end - 1]) - 1
 
-    def take_block(self, rows, length):
-        """``rows`` calls of ``take(length)`` in one: the column sums and the
-        last flips, as two arrays of ``rows`` values.  A refill draws what the
-        block lacks, or a whole block if that is more."""
+    @staticmethod
+    def take_columns(streams, rows, length):
+        """``rows`` calls of ``take(length)`` on each of ``streams`` at once:
+        the column sums and last flips as two ``(len(streams), rows)`` arrays.
+        If one is short, every stream draws as many words, read in one pass."""
         import numpy as np
 
         need = rows * length
-        flips = self._flips[self._pos:]
-        if need > len(flips):
-            fresh = self._rng.integers(0, 2, size=max(_FLIP_BLOCK, need - len(flips))) * 2 - 1
-            flips = np.concatenate((flips, fresh))
-        cols = flips[:need].reshape(rows, length)
-        self._flips, self._cum, self._pos = flips[need:], None, 0
-        return cols.sum(axis=1), cols[:, -1]
+        bits = [s._bits[s._pos:] for s in streams]
+        short = need - min(map(len, bits))
+        if short > 0:
+            bits = [np.concatenate(pair) for pair in
+                    zip(bits, _flip_bits([s._words(short) for s in streams]))]
+        for s, b in zip(streams, bits):
+            s._bits, s._cum, s._pos = b[need:], None, 0
+        cols = np.array([b[:need] for b in bits]).reshape(len(streams), rows, length)
+        return 2 * np.einsum("srk->sr", cols) - length, 2 * cols[:, :, -1] - 1
 
 
 class GameOpponent:
@@ -308,11 +319,11 @@ def _play_whole_epoch(cfg, p, opp, w, bad, good, streams, adv_rng):
 
     n, m, T, x_max = p.n, p.m, p.T, p.x_max
     sigma, bad_col = opp.epoch_moves(T, m, adv_rng)
+    sums, lasts = FlipStream.take_columns([streams[i] for i in good], T, m)
     raw = np.zeros((T, n), dtype=np.int64)
+    raw[:, good] = sums.T
     lam = np.zeros(n, dtype=np.int64)
-    for i in good:
-        raw[:, i], lasts = streams[i].take_block(T, m)
-        lam[i] = lasts[-1]
+    lam[good] = lasts[:, -1]
     if bad_col is not None:
         for i in bad:
             raw[:, i], lam[i] = bad_col[0], bad_col[1][-1]
@@ -415,8 +426,9 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
     np.fill_diagonal(corr, 0.0)
 
     # frozen views: each viewer may miss the final write of the unforced
-    # columns; corrupted viewers choose self-servingly
-    final_wx = w * np.array(raw).clip(-x_max, x_max)
+    # columns; corrupted viewers choose self-servingly.  Lists, read once
+    final_wx = (w * np.array(raw).clip(-x_max, x_max)).tolist()
+    w_list, dev_list, corr_list = w.tolist(), dev.tolist(), corr.tolist()
     locals_ = {}
     for pid in range(n):
         if pid in bad and opp.name == "crash-stop":
@@ -430,8 +442,8 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
             candidates = [frozenset(chosen[:f])]
         best = None
         for hidden in candidates:
-            dv, cv = _adjusted_stats(dev, corr, final_wx, raw, lam, w, hidden, p)
-            new_w, _, _ = epoch_advance(w.tolist(), dv, cv, p)
+            dv, cv = _adjusted_stats(dev_list, corr_list, final_wx, raw, lam, w_list, hidden, p)
+            new_w, _, _ = epoch_advance(w_list, dv, cv, p)
             if best is None or new_w[pid] > best[0][pid]:
                 best = (new_w, hidden)
         locals_[pid] = best[0]
@@ -458,15 +470,15 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
 
 
 def _adjusted_stats(dev, corr, final_wx, last_raw, last_lam, w, hidden, p):
-    """Viewer statistics: true accumulations with the final iteration's row
-    re-read through the viewer's (possibly lagging) view.  Entries not
-    involving a hidden column are untouched (bit-exact)."""
-    dv = dev.copy()
-    cv = corr.copy()
+    """Viewer statistics: true accumulations with the final row re-read through
+    the viewer's (possibly lagging) view, as new lists, or ``dev`` and ``corr``
+    themselves if nothing is hidden.  Entries off the hidden columns are bit-exact."""
     if not hidden:
-        return dv, cv
+        return dev, corr
+    dv = list(dev)
+    cv = [list(row) for row in corr]
     n = len(final_wx)
-    adj_wx = final_wx.copy()
+    adj_wx = list(final_wx)
     for i in hidden:
         x_alt = clamp_coin_sum(float(last_raw[i] - last_lam[i]), p.x_max)
         adj_wx[i] = w[i] * x_alt
@@ -474,6 +486,6 @@ def _adjusted_stats(dev, corr, final_wx, last_raw, last_lam, w, hidden, p):
     pairs = {(min(i, j), max(i, j)) for i in hidden for j in range(n) if j != i}
     for i, j in pairs:
         delta = adj_wx[i] * adj_wx[j] - final_wx[i] * final_wx[j]
-        cv[i, j] += delta
-        cv[j, i] += delta
+        cv[i][j] += delta
+        cv[j][i] += delta
     return dv, cv

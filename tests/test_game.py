@@ -235,7 +235,7 @@ def test_viewer_stats_differ_boundedly():
     assert diffs == [2]
     assert abs(dv[2] - dev[2]) <= 2 * p.x_max + 1e-9
     # corr adjustments touch only pairs involving the hidden column
-    changed = {(i, j) for i in range(6) for j in range(6) if cv[i, j] != corr[i, j]}
+    changed = {(i, j) for i in range(6) for j in range(6) if cv[i][j] != corr[i, j]}
     assert changed and all(2 in pair for pair in changed)
 
 
@@ -272,24 +272,51 @@ def test_flip_stream_matches_per_call_draws():
 
 
 def test_flip_stream_blocks_match_per_call_draws():
-    # block takes, interleaved with single takes, read the same flips as one
-    # integers() call per column on a twin generator, leftovers included
+    # column takes on several streams at once, interleaved with single takes
+    # of odd and unequal lengths, read the same flips as one integers() call
+    # per column on twin generators, leftovers included
     from bftsim.game import _FLIP_BLOCK, FlipStream
 
     pick = np.random.default_rng(2025)
-    stream = FlipStream(np.random.default_rng(np.random.SeedSequence((12, 7, 4))))
-    twin = np.random.default_rng(np.random.SeedSequence((12, 7, 4)))
+    seeds = [np.random.SeedSequence((12, 7, i)) for i in range(5)]
+    streams = [FlipStream(np.random.default_rng(s)) for s in seeds]
+    twins = [np.random.default_rng(s) for s in seeds]
     shapes = [(1, 1), (3, 1), (130, 7), (1, _FLIP_BLOCK + 5), (64, 8), (300, 7), (2, 3)]
     shapes += [(int(r), int(c)) for r, c in pick.integers(1, 40, size=(60, 2))]
     for k, (rows, length) in enumerate(shapes):
-        want = [twin.integers(0, 2, size=length) * 2 - 1 for _ in range(rows)]
-        if k % 3 == 2:
-            for flips in want:
-                assert stream.take(length) == (int(flips.sum()), int(flips[-1]))
+        if k % 3 == 2:  # each stream takes its own odd number of flips
+            for stream, twin in zip(streams, twins):
+                for _ in range(rows):
+                    size = 2 * int(pick.integers(0, 5)) + 1
+                    flips = twin.integers(0, 2, size=size) * 2 - 1
+                    assert stream.take(size) == (int(flips.sum()), int(flips[-1]))
             continue
-        sums, lasts = stream.take_block(rows, length)
-        assert sums.tolist() == [int(flips.sum()) for flips in want]
-        assert lasts.tolist() == [int(flips[-1]) for flips in want]
+        want = [[twin.integers(0, 2, size=length) * 2 - 1 for _ in range(rows)] for twin in twins]
+        sums, lasts = FlipStream.take_columns(streams, rows, length)
+        assert sums.shape == lasts.shape == (len(streams), rows)
+        assert sums.tolist() == [[int(flips.sum()) for flips in cols] for cols in want]
+        assert lasts.tolist() == [[int(flips[-1]) for flips in cols] for cols in want]
+        # stream 2 runs one flip ahead of the others into the next shape
+        ahead, last = FlipStream.take_columns(streams[2:3], 1, 1)
+        flip = int(twins[2].integers(0, 2)) * 2 - 1
+        assert ahead.tolist() == last.tolist() == [[flip]]
+
+
+def test_flip_bits_are_the_bounded_integer_draws():
+    # the flip mapping itself, over 100 seeded streams: the top bit of each
+    # 32-bit half of the raw PCG64 words, low half first, is what numpy's
+    # integers(0, 2) returns.  Should numpy change its bounded-integer method,
+    # this fails before any golden digest does
+    from bftsim.game import FlipStream
+
+    sizes = (1, 2, 3, 1023, 2048)
+    for seed in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 7, 0)))
+        stream = FlipStream(np.random.default_rng(np.random.SeedSequence((seed, 7, 0))))
+        for size in sizes:
+            want = rng.integers(0, 2, size=size) * 2 - 1
+            got, _ = FlipStream.take_columns([stream], size, 1)
+            assert got[0].tolist() == want.tolist()
 
 
 def _hexes(values):
@@ -304,14 +331,16 @@ def _game_generators(seed, n):
 
 
 # (n, f, T): T * m below, across and above the 1,024-flip block, so epochs
-# start on flips left over from the one before
-REFERENCE_SHAPES = [(9, 2, 100), (13, 3, 130), (20, 4, 300), (41, 10, 24)]
+# start on flips left over from the one before; the last two give an odd
+# T * m at m = 7, so a column straddles two words and refills fall mid-epoch
+REFERENCE_SHAPES = [(9, 2, 100), (13, 3, 130), (20, 4, 300), (41, 10, 24),
+                    (9, 2, 101), (20, 4, 147)]
 
 
 @pytest.mark.parametrize("opponent", ["honest-random", "crash-stop", "colluding"])
 def test_whole_epoch_play_matches_reference_loop(opponent):
     # the array play of a whole epoch against the iteration loop it replaces,
-    # bit for bit: 64 seeded three-epoch games per opponent
+    # bit for bit: one seeded three-epoch game per case below
     import itertools
 
     from bftsim.game import GAME_OPPONENTS, FlipStream, _close_epoch, _Played, _play_whole_epoch

@@ -769,6 +769,24 @@ def test_verify_omits_view_verdicts_when_f_is_unknown():
     assert "disagree in 3 cells" in verdicts["view-disagreement"].detail
 
 
+def test_verify_reads_only_the_cells_a_trace_holds():
+    # one forged cell far past the board's rows makes every column short of
+    # full; the view checks visit only the cells the trace holds, so the
+    # verdict comes at once instead of after a scan of 10**20 rows
+    import time
+
+    n, m = 7, 2
+    cells = [{"rec": "cell", "t": 1, "r": r, "i": i, "value": 1}
+             for i in range(n) for r in range(1, m + 1)]
+    finals = [{"rec": "final", "pid": pid, "t": 1, "lastbar": [[1, m]] * n} for pid in (0, 1)]
+    assert all(v.ok for v in verify_trace(cells + finals, f=2))
+    forged = {"rec": "cell", "t": 1, "r": 10**20, "i": 0, "value": 1}
+    start = time.perf_counter()
+    verdicts = {v.name: v for v in verify_trace(cells + finals + [forged], f=2)}
+    assert time.perf_counter() - start < 1.0
+    assert not verdicts["full-columns"].ok and verdicts["view-disagreement"].ok
+
+
 def test_cli_verify_reads_run_trace_out_files(tmp_path):
     out = tmp_path / "run.ndjson"
     res = _cli("run", "--mode", "bracha", "--n", "4", "--f", "1", "--coin", "local",
