@@ -16,8 +16,9 @@ and in the frozen views used for end-of-epoch statistics.
 An epoch is played one of two ways, chosen by the opponent's class.  The
 counteract opponent reads the good sum of every iteration, so its epochs run
 iteration by iteration; the others never read the good flips, so their
-epochs run whole, as array operations, with the same values bit for bit.
-Both end in the same frozen views and weight update.
+epochs run whole, as array operations, with the same values bit for bit,
+from flips and moves drawn for several epochs at once.  Both end in the same
+frozen views and weight update.
 
 numpy is imported inside the functions that use it: every message-level run
 imports this module (through ``harness``) and never plays a game, so it
@@ -40,11 +41,12 @@ _FLIP_BLOCK = 1024  # flips drawn per refill: 512 PCG64 words per process
 
 
 def _flip_bits(words):
-    """The 0/1 flips ``Generator.integers(0, 2)`` reads from PCG64 ``words``: each
-    32-bit half's top bit, low half first, as Lemire's draw never rejects at 2."""
+    """The 0/1 flips ``Generator.integers(0, 2)`` reads from PCG64 ``words``, as
+    int8: each 32-bit half's top bit, low half first, as Lemire's draw never
+    rejects at 2."""
     import numpy as np
 
-    return (np.asarray(words, dtype="<u8").view("<u4") >> 31).astype(np.int64)
+    return (np.asarray(words, dtype="<u8").view("<u4") >> 31).astype(np.int8)
 
 
 class FlipStream:
@@ -67,24 +69,25 @@ class FlipStream:
         import numpy as np
 
         self._draw = rng.bit_generator.random_raw
-        self._bits = np.zeros(0, dtype=np.int64)  # drawn flips; _bits[_pos:] are untaken
+        self._bits = np.zeros(0, dtype=np.int8)  # drawn flips; _bits[_pos:] are untaken
         self._cum = None  # prefix sums of _bits, built when ``take`` first reads them
         self._pos = 0
 
-    def _words(self, short):  # for at least ``short`` more flips, and a whole block
-        return self._draw((max(_FLIP_BLOCK, short) + 1) // 2)
+    def _untaken(self, need):  # the untaken flips, and at least a fresh block if short of ``need``
+        bits = self._bits[self._pos:]
+        if need > len(bits):
+            import numpy as np
+
+            words = self._draw((max(_FLIP_BLOCK, need - len(bits)) + 1) // 2)
+            bits = np.concatenate((bits, _flip_bits(words)))
+        return bits
 
     def take(self, length):
         start = self._pos
         end = start + length
         cum = self._cum
-        if cum is None or end >= len(cum):  # the untaken flips, and a fresh block if short
-            bits = self._bits[start:]
-            if length > len(bits):
-                import numpy as np
-
-                bits = np.concatenate((bits, _flip_bits(self._words(length - len(bits)))))
-            self._bits = bits
+        if cum is None or end >= len(cum):
+            bits = self._bits = self._untaken(length)
             cum = self._cum = list(accumulate(bits.tolist(), initial=0))
             start, end = 0, length
         self._pos = end
@@ -94,19 +97,22 @@ class FlipStream:
     def take_columns(streams, rows, length):
         """``rows`` calls of ``take(length)`` on each of ``streams`` at once:
         the column sums and last flips as two ``(len(streams), rows)`` arrays.
-        If one is short, every stream draws as many words, read in one pass."""
+        Each short stream draws its own words, so no two streams' words are
+        held at once."""
         import numpy as np
 
         need = rows * length
-        bits = [s._bits[s._pos:] for s in streams]
-        short = need - min(map(len, bits))
-        if short > 0:
-            bits = [np.concatenate(pair) for pair in
-                    zip(bits, _flip_bits([s._words(short) for s in streams]))]
-        for s, b in zip(streams, bits):
-            s._bits, s._cum, s._pos = b[need:], None, 0
-        cols = np.array([b[:need] for b in bits]).reshape(len(streams), rows, length)
-        return 2 * np.einsum("srk->sr", cols) - length, 2 * cols[:, :, -1] - 1
+        cols = []
+        for s in streams:
+            bits = s._untaken(need)
+            s._bits, s._cum, s._pos = bits[need:], None, 0
+            cols.append(bits[:need])
+        cols = np.array(cols).reshape(len(streams), rows, length)
+        # fewer than 128 flips sum exactly in int8, and einsum casts slowly
+        ones = np.einsum("srk->sr", cols if length < 128 else cols.astype(np.int64))
+        sums = np.multiply(ones, 2, dtype=np.int64)
+        sums -= length
+        return sums, 2 * cols[:, :, -1] - 1
 
 
 class GameOpponent:
@@ -191,10 +197,13 @@ class ColludingGame(GameOpponent):
     def epoch_moves(self, T, m, rng):
         # iteration by iteration: one draw for sigma(t), then the leader's m
         # flips; every integers(0, 2) value takes one 32-bit draw, so one call
-        # yields the values of the 2T calls that order makes
-        draws = rng.integers(0, 2, size=T * (1 + m)).reshape(T, 1 + m) * 2 - 1
-        leader = draws[:, 1:]
-        return draws[:, 0], (leader.sum(axis=1), leader[:, -1])
+        # yields the values of the 2T calls that order makes, and int32 holds
+        # the int64 values in half the memory
+        import numpy as np
+
+        draws = rng.integers(0, 2, size=(T, 1 + m), dtype=np.int32)
+        leader = draws[:, 1:]  # einsum sums its short rows faster than sum(axis=1)
+        return draws[:, 0] * 2 - 1, (np.einsum("tk->t", leader) * 2 - m, leader[:, -1] * 2 - 1)
 
 
 GAME_OPPONENTS = {
@@ -265,22 +274,28 @@ def run_game(cfg: GameConfig) -> GameReport:
     if cfg.epochs < 1:
         raise ConfigInvalid(f"need epochs >= 1, got {cfg.epochs}")
     opp = opp_cls()
-    play = _play_iterations if opp.forcing else _play_whole_epoch
 
-    streams = [FlipStream(np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, i))))
-               for i in range(p.n)]
     adv_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xAD)))
-    view_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x51DE)))
-
     bad = opp.pick_bad(p.n, p.f, adv_rng)
     good = [i for i in range(p.n) if i not in bad]
+    # only good processes flip, and only a forcing opponent leaves a column to hide
+    streams = {i: FlipStream(np.random.default_rng(np.random.SeedSequence((cfg.seed, 7, i))))
+               for i in good}
+    view_rng = draws = None
+    if opp.forcing:
+        view_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x51DE)))
+    else:
+        draws = _whole_epoch_draws(p, opp, bad, good, streams, adv_rng, cfg.epochs)
     weights = initial = [0.0 if cfg.zero_bad_weights and i in bad else 1.0 for i in range(p.n)]
 
     reports = []
     ended = None
     for k in range(1, cfg.epochs + 1):
         w = np.asarray(weights, dtype=float)
-        played = play(cfg, p, opp, w, bad, good, streams, adv_rng)
+        if draws is None:
+            played = _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng)
+        else:
+            played = _play_whole_epoch(cfg, p, w, bad, good, next(draws))
         rep = _close_epoch(p, opp, k, weights, w, bad, played, view_rng)
         reports.append(rep)
         if rep.natural_end_at is not None and cfg.stop_on_natural_end:
@@ -307,27 +322,53 @@ class _Played(NamedTuple):
     hideable: list  # and the good partial columns a view may miss
 
 
-_CORR_CHUNK = 1 << 15  # elements of the (rows, n, n) outer products formed at once
+# elements of the (rows, n, n) outer products formed at once: 64 KiB, under
+# glibc's 128 KiB mmap threshold (at 1 << 15 a batched colluding game faulted
+# in about 80 fresh pages)
+_CORR_CHUNK = 1 << 13
+_FLIP_BUDGET = 1 << 15  # flips per process one draw of whole epochs stays within, past the first
 
 
-def _play_whole_epoch(cfg, p, opp, w, bad, good, streams, adv_rng):
-    """Plays an epoch of a non-forcing opponent as array operations, with the
-    values of the iteration loop bit for bit.  Numpy reduces along axis 0 one
-    row after another, so dev and corr stay sequential sums over t; a row sum
-    of a 2-D array is not the 1-D pairwise sum, so sg is summed row by row."""
+def _whole_epoch_draws(p, opp, bad, good, streams, adv_rng, epochs):
+    """Yields each epoch's draws for a non-forcing opponent: sigma(t), the
+    clipped column sums, the last raw sums and the last flips.  It draws as
+    many whole epochs at once as fit ``_FLIP_BUDGET`` flips per process, and
+    at least one, with the values of one draw per epoch: ``take_columns``
+    gives equal flips for any split, and each ``integers(0, 2)`` value of
+    ``epoch_moves`` takes one 32-bit draw."""
     import numpy as np
 
-    n, m, T, x_max = p.n, p.m, p.T, p.x_max
-    sigma, bad_col = opp.epoch_moves(T, m, adv_rng)
-    sums, lasts = FlipStream.take_columns([streams[i] for i in good], T, m)
-    raw = np.zeros((T, n), dtype=np.int64)
-    raw[:, good] = sums.T
-    lam = np.zeros(n, dtype=np.int64)
-    lam[good] = lasts[:, -1]
-    if bad_col is not None:
-        for i in bad:
-            raw[:, i], lam[i] = bad_col[0], bad_col[1][-1]
-    wx = w * raw.clip(-x_max, x_max)
+    n, m, T = p.n, p.m, p.T
+    per_draw = max(1, _FLIP_BUDGET // (T * m))
+    for done in range(0, epochs, per_draw):
+        count = min(per_draw, epochs - done)
+        sigma, bad_col = opp.epoch_moves(T * count, m, adv_rng)
+        sums, lasts = FlipStream.take_columns([streams[i] for i in good], T * count, m)
+        x = np.zeros((T * count, n))  # the column sums, clipped below
+        x[:, good] = sums.T
+        last_raw, lam = np.zeros((2, count, n), dtype=np.int64)
+        last_raw[:, good], lam[:, good] = sums[:, T - 1::T].T, lasts[:, T - 1::T].T
+        if bad_col is not None:
+            bad_raw, bad_lasts = bad_col
+            for i in bad:
+                x[:, i], last_raw[:, i], lam[:, i] = bad_raw, bad_raw[T - 1::T], bad_lasts[T - 1::T]
+        x.clip(-p.x_max, p.x_max, out=x)
+        del sums, lasts  # only what the epochs read outlives the draw
+        for e in range(count):
+            yield sigma[e * T:(e + 1) * T], x[e * T:(e + 1) * T], last_raw[e], lam[e]
+
+
+def _play_whole_epoch(cfg, p, w, bad, good, draws):
+    """Plays an epoch of a non-forcing opponent from its ``draws`` as array
+    operations, with the values of the iteration loop bit for bit.  Numpy
+    reduces along axis 0 one row after another, so dev and corr stay
+    sequential sums over t; a row sum of a 2-D array is not the 1-D pairwise
+    sum, so sg is summed row by row."""
+    import numpy as np
+
+    n, T = p.n, p.T
+    sigma, x, raw, lam = draws
+    wx = w * x
     dev = (wx**2).sum(axis=0)
     corr = np.zeros((n, n))
     step = max(1, _CORR_CHUNK // (n * n))
@@ -345,7 +386,7 @@ def _play_whole_epoch(cfg, p, opp, w, bad, good, streams, adv_rng):
         sb_series = sb.tolist()
         sigma_series = sigma.tolist()
     # no partial good column: every iteration is unanimous, none hideable
-    return _Played(T, None, T, dev, corr, sg_series, sb_series, sigma_series, raw[-1], lam, [])
+    return _Played(T, None, T, dev, corr, sg_series, sb_series, sigma_series, raw, lam, [])
 
 
 def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):

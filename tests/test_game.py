@@ -343,7 +343,9 @@ def test_whole_epoch_play_matches_reference_loop(opponent):
     # bit for bit: one seeded three-epoch game per case below
     import itertools
 
-    from bftsim.game import GAME_OPPONENTS, FlipStream, _close_epoch, _Played, _play_whole_epoch
+    from bftsim.game import (
+        GAME_OPPONENTS, FlipStream, _close_epoch, _Played, _play_whole_epoch, _whole_epoch_draws,
+    )
     from oracles import reference_epoch
 
     cases = itertools.product(REFERENCE_SHAPES, (7, 8), (1, 4), (True, False), (True, False))
@@ -364,11 +366,12 @@ def test_whole_epoch_play_matches_reference_loop(opponent):
         assert opp.pick_bad(n, f, block_adv_rng) == bad == report.bad
         good = [i for i in range(n) if i not in bad]
         weights = [0.0 if zero_bad and i in bad else 1.0 for i in range(n)]
+        draws = _whole_epoch_draws(p, opp, bad, good, streams, block_adv_rng, 3)
         assert len(report.epochs) == 3
         for ep in report.epochs:
             w = np.asarray(weights, dtype=float)
             want = reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record)
-            got = _play_whole_epoch(cfg, p, opp, w, bad, good, streams, block_adv_rng)
+            got = _play_whole_epoch(cfg, p, w, bad, good, next(draws))
             assert np.asarray(got.raw).tobytes() == np.array(want["raw"], dtype=np.int64).tobytes()
             assert np.asarray(got.lam).tobytes() == np.array(want["lam"], dtype=np.int64).tobytes()
             assert got.dev.tobytes() == want["dev"].tobytes()
@@ -383,6 +386,96 @@ def test_whole_epoch_play_matches_reference_loop(opponent):
             assert _hexes(ep.weights_out) == _hexes(rep.weights_out)
             assert (ep.iters_played, ep.unanimous_iters, ep.natural_end_at) == (T, T, None)
             weights = rep.weights_out
+
+
+def _take_columns_rows(monkeypatch):
+    """The row count of every later ``FlipStream.take_columns`` call, in order."""
+    from bftsim import game
+
+    rows = []
+    real = game.FlipStream.take_columns
+
+    def spy(streams, r, length):
+        rows.append(r)
+        return real(streams, r, length)
+
+    monkeypatch.setattr(game.FlipStream, "take_columns", staticmethod(spy))
+    return rows
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("opponent", ["honest-random", "crash-stop", "colluding"])
+def test_batched_epochs_match_reference_loop_across_draws_and_a_restart(monkeypatch, opponent, record):
+    # n=5, f=1, so k_max = 3; T * m is odd and just under a third of the flip
+    # budget, so the game draws epochs 1-3, 4-6 and 7 at once, and the weights
+    # restart after epoch 4, inside the second draw.  At c = 0.1 the views
+    # dock good and bad weights every epoch, so the restart changes what epoch
+    # 5 plays.  Every epoch equals the reference loop, one integers() call per
+    # column and per move, plus the epoch close, bit for bit
+    from bftsim import game
+    from bftsim.game import GAME_OPPONENTS, _close_epoch, _Played
+    from oracles import reference_epoch
+
+    n, f, m, seed = 5, 1, 7, 96001
+    T = game._FLIP_BUDGET // (3 * m) - 1
+    p = ProtocolParams(n=n, f=f, eps=0.5, m=m, T=T, c=0.1)
+    assert p.k_max == 3 and game._FLIP_BUDGET // (T * m) == 3 and T * m % 2 == 1
+    cfg = GameConfig(params=p, adversary=opponent, epochs=7, seed=seed,
+                     stop_on_natural_end=False, record_series=record)
+    rows = _take_columns_rows(monkeypatch)
+    report = run_game(cfg)
+    assert rows == [3 * T, 3 * T, T]
+
+    opp = GAME_OPPONENTS[opponent]()
+    flip_rngs, adv_rng, view_rng = _game_generators(seed, n)
+    bad = opp.pick_bad(n, f, adv_rng)
+    assert bad == report.bad
+    good = [i for i in range(n) if i not in bad]
+    initial = weights = [1.0] * n
+    assert len(report.epochs) == 7
+    for ep in report.epochs:
+        w = np.asarray(weights, dtype=float)
+        want = reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record)
+        rep = _close_epoch(p, opp, ep.epoch, weights, w, bad, _Played(**want), view_rng)
+        assert _hexes(ep.weights_in) == _hexes(rep.weights_in)
+        assert ep.dev.tobytes() == rep.dev.tobytes()
+        assert ep.corr.tobytes() == rep.corr.tobytes()
+        assert _hexes(ep.sg_series) == _hexes(rep.sg_series)
+        assert _hexes(ep.sb_series) == _hexes(rep.sb_series)
+        assert ep.sigma_series == rep.sigma_series
+        assert len(ep.sigma_series) == (T if record else 0)
+        assert _hexes(ep.weights_out) == _hexes(rep.weights_out)
+        assert _hexes([ep.inv_lhs, ep.inv_rhs]) == _hexes([rep.inv_lhs, rep.inv_rhs])
+        assert (ep.iters_played, ep.unanimous_iters, ep.natural_end_at) == (T, T, None)
+        weights = initial if ep.epoch % (p.k_max + 1) == 0 else rep.weights_out
+    assert report.epochs[4].weights_in == initial != report.epochs[3].weights_out
+
+
+# (m, T, epochs): one epoch far inside, at half, just under and at the flip
+# budget, and above it; the 40-epoch game ends on a short draw
+BUDGET_SHAPES = [(8, 256, 5), (8, 256, 40), (8, 2048, 5), (7, 1559, 7), (7, 4681, 3),
+                 (8, 4096, 3), (9, 5000, 2)]
+
+
+@pytest.mark.parametrize("m, T, epochs", BUDGET_SHAPES)
+def test_whole_epochs_are_drawn_within_the_flip_budget(monkeypatch, m, T, epochs):
+    # every draw is of whole epochs and at least one; a draw of more than one
+    # epoch stays within the budget of flips per process, each draw but the
+    # last holds as many epochs as fit, and the game draws no epoch it does
+    # not play
+    from bftsim import game
+
+    rows = _take_columns_rows(monkeypatch)
+    cfg = GameConfig(params=ProtocolParams(n=5, f=1, eps=0.5, m=m, T=T, c=4),
+                     adversary="colluding", epochs=epochs, seed=1, stop_on_natural_end=False,
+                     record_series=False)
+    assert len(run_game(cfg).epochs) == epochs
+    assert sum(rows) == epochs * T
+    fit = max(1, game._FLIP_BUDGET // (T * m))
+    assert rows[:-1] == [fit * T] * (len(rows) - 1)
+    for r in rows:
+        assert r % T == 0 and r >= T
+        assert r == T or r * m <= game._FLIP_BUDGET
 
 
 # (opponent, params, epochs, seed): each opponent's frozen views; the c=1
