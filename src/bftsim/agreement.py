@@ -201,10 +201,10 @@ class _ProtocolProcess:
 class _BoardProcess(_ProtocolProcess):
     """A process with a blackboard node behind its RB gate."""
 
-    def __init__(self, pid, params: ProtocolParams, seed, coin_source=None):
+    def __init__(self, pid, params: ProtocolParams, seed):
         super().__init__(pid, params, gate=_weak(self._gate), on_accept=_weak(self._on_accept))
         self.rng = random.Random(f"{seed}/proc/{pid}")
-        self.coin_source = coin_source  # None: a fair coin from self.rng
+        self.coin_source = None  # a fair coin from self.rng; a corrupting strategy sets it
         self.board = BlackboardNode(
             pid, params, _weak(self._coin_value), self.rb.broadcast,
             on_final=_weak(self._board_final),
@@ -231,8 +231,8 @@ class _BoardProcess(_ProtocolProcess):
 class BlackboardProcess(_BoardProcess):
     """Runs the iterated blackboard for a fixed number of boards (no votes)."""
 
-    def __init__(self, pid, params, seed, boards: int, coin_source=None):
-        super().__init__(pid, params, seed, coin_source)
+    def __init__(self, pid, params, seed, boards: int):
+        super().__init__(pid, params, seed)
         self.boards = boards
 
     @property
@@ -263,8 +263,8 @@ class BrachaProcess(_BoardProcess):
     """Three-phase validated agreement; the coin is either the shared
     blackboard coin or a private fair coin (baseline mode)."""
 
-    def __init__(self, pid, params, seed, initial, coin="blackboard", coin_source=None):
-        super().__init__(pid, params, seed, coin_source)
+    def __init__(self, pid, params, seed, initial, coin="blackboard"):
+        super().__init__(pid, params, seed)
         if initial not in (1, -1):
             raise ValueError("initial value must be +1 or -1")
         self.initial = initial

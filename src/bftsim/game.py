@@ -16,9 +16,9 @@ and in the frozen views used for end-of-epoch statistics.
 An epoch is played one of two ways, chosen by the opponent's class.  The
 counteract opponent reads the good sum of every iteration, so its epochs run
 iteration by iteration; the others never read the good flips, so their
-epochs run whole, as array operations, with the same values bit for bit,
-from flips and moves drawn for several epochs at once.  Both end in the same
-frozen views and weight update.
+epochs are drawn whole, several at once.  Both yield the epoch's clipped
+column sums, and one statistics pass, the frozen views and the weight update
+close every epoch.
 
 numpy is imported inside the functions that use it: every message-level run
 imports this module (through ``harness``) and never plays a game, so it
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 from .adversary import random_bad_set
 from .agreement import epoch_advance
@@ -293,10 +292,10 @@ def run_game(cfg: GameConfig) -> GameReport:
     for k in range(1, cfg.epochs + 1):
         w = np.asarray(weights, dtype=float)
         if draws is None:
-            played = _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng)
-        else:
-            played = _play_whole_epoch(cfg, p, w, bad, good, next(draws))
-        rep = _close_epoch(p, opp, k, weights, w, bad, played, view_rng)
+            play = _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng)
+        else:  # no partial good column: every iteration is unanimous, none hideable
+            play = (*next(draws), [], None, p.T)
+        rep = _close_epoch(cfg, opp, k, weights, w, bad, good, play, view_rng)
         reports.append(rep)
         if rep.natural_end_at is not None and cfg.stop_on_natural_end:
             ended = (k, rep.natural_end_at)
@@ -304,22 +303,6 @@ def run_game(cfg: GameConfig) -> GameReport:
         # undecided after the endgame epoch: restart with unit weights
         weights = initial if k % (p.k_max + 1) == 0 else rep.weights_out
     return GameReport(cfg.seed, bad, reports, ended)
-
-
-class _Played(NamedTuple):
-    """One epoch's play, before the end-of-epoch views."""
-
-    iters_played: int
-    natural_end_at: int | None
-    unanimous_iters: int
-    dev: np.ndarray
-    corr: np.ndarray  # diagonal not yet zeroed
-    sg_series: list
-    sb_series: list
-    sigma_series: list
-    raw: list | np.ndarray  # the last iteration's column sums,
-    lam: list | np.ndarray  # its last flips,
-    hideable: list  # and the good partial columns a view may miss
 
 
 # elements of the (rows, n, n) outer products formed at once: 64 KiB, under
@@ -358,60 +341,24 @@ def _whole_epoch_draws(p, opp, bad, good, streams, adv_rng, epochs):
             yield sigma[e * T:(e + 1) * T], x[e * T:(e + 1) * T], last_raw[e], lam[e]
 
 
-def _play_whole_epoch(cfg, p, w, bad, good, draws):
-    """Plays an epoch of a non-forcing opponent from its ``draws`` as array
-    operations, with the values of the iteration loop bit for bit.  Numpy
-    reduces along axis 0 one row after another, so dev and corr stay
-    sequential sums over t; a row sum of a 2-D array is not the 1-D pairwise
-    sum, so sg is summed row by row."""
-    import numpy as np
-
-    n, T = p.n, p.T
-    sigma, x, raw, lam = draws
-    wx = w * x
-    dev = (wx**2).sum(axis=0)
-    corr = np.zeros((n, n))
-    step = max(1, _CORR_CHUNK // (n * n))
-    for s in range(0, T, step):
-        rows = wx[s:s + step]
-        outer = rows[:, :, None] * rows[:, None, :]
-        outer[0] += corr
-        corr = outer.sum(axis=0)
-    sg_series, sb_series, sigma_series = [], [], []
-    if cfg.record_series:
-        sg_series = [float(row.sum()) for row in wx[:, good]]
-        sb = np.zeros(T)
-        for i in bad:  # the loop's order: sum(wx[i] for i in bad)
-            sb = sb + wx[:, i]
-        sb_series = sb.tolist()
-        sigma_series = sigma.tolist()
-    # no partial good column: every iteration is unanimous, none hideable
-    return _Played(T, None, T, dev, corr, sg_series, sb_series, sigma_series, raw, lam, [])
-
-
 def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):
     """Plays an epoch of a forcing opponent one iteration at a time: its
-    moves read the good sum and plan partial columns."""
+    moves read the good sum and plan partial columns.  Returns what
+    ``_whole_epoch_draws`` yields, with one row of clipped column sums per
+    iteration played, then the hideable columns, the natural end and the
+    number of unanimous iterations."""
     import numpy as np
 
     n, m, T, f, x_max = p.n, p.m, p.T, p.f, p.x_max
     good_ix = np.array(good)
     bad_order = sorted(bad)
-    dev = np.zeros(n)
-    corr = np.zeros((n, n))
-    sg_series = []
-    sb_series = []
-    sigma_series = []
-    natural_end_at = None
-    unanimous = 0
-    iters = 0
+    sigmas, xs = [], []
+    natural_end_at, unanimous = None, 0
 
     for t in range(1, T + 1):
-        iters = t
         sigma = opp.direction(t, adv_rng)
         lengths = opp.plan_lengths(t, w, good, bad_order, m, adv_rng)
-        raw = [0] * n
-        lam = [0] * n
+        raw, lam = [0] * n, [0] * n
         for i in good:
             length = lengths.get(i, m)
             if length > 0:
@@ -429,20 +376,12 @@ def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):
 
         bad_cols = opp.bad_columns(t, sigma, w, sg, gain, bad, m, x_max, adv_rng)
         for i, (braw, blast) in bad_cols.items():
-            raw[i] = braw
-            lam[i] = blast
+            raw[i], lam[i] = braw, blast
             x[i] = clamp_coin_sum(float(braw), x_max)
-        wx = w * x
-        sb = float(sum(wx[i] for i in bad))
-        total = float(wx.sum())
+        sigmas.append(sigma)
+        xs.append(x)
 
-        dev += wx**2
-        corr += np.outer(wx, wx)
-        if cfg.record_series:
-            sg_series.append(sg)
-            sb_series.append(sb)
-            sigma_series.append(sigma)
-
+        total = float((w * x).sum())
         smax = total + sum(d for d in deltas.values() if d > 0)
         smin = total + sum(d for d in deltas.values() if d < 0)
         if sgn(smax) == sgn(smin):
@@ -452,23 +391,54 @@ def _play_iterations(cfg, p, opp, w, bad, good, streams, adv_rng):
             if cfg.stop_on_natural_end:
                 break
 
-    return _Played(iters, natural_end_at, unanimous, dev, corr, sg_series, sb_series,
-                   sigma_series, raw, lam, hideable)
+    return sigmas, np.array(xs), raw, lam, hideable, natural_end_at, unanimous
 
 
-def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
-    """The end of an epoch, for both ways of playing it: each viewer's frozen
-    view, its epoch_advance, the consensus weights and the invariant."""
+def _epoch_stats(x, w, good, bad, record_series):
+    """dev, corr with a zero diagonal, the good and bad weighted sums of each
+    iteration (empty unless ``record_series``) and the last row of ``w * x``
+    as a list, from the clipped column sums ``x``, one row per iteration.
+    Bit for bit the loop ``dev += wx**2; corr += np.outer(wx, wx)`` from
+    zeros: numpy reduces axis 0 from 0.0 one row after another, so a -0.0
+    product sums to 0.0, and each chunk of corr adds on to the last.  A row
+    sum of a 2-D array is not the 1-D pairwise sum, so sg is summed row by
+    row, and sb adds the bad columns in the order of ``sum(wx[i] for i in bad)``."""
     import numpy as np
 
-    n, f, x_max = p.n, p.f, p.x_max
-    dev, corr = played.dev, played.corr
-    raw, lam, hideable = played.raw, played.lam, played.hideable
+    rows, n = x.shape
+    wx = w * x
+    dev = (wx**2).sum(axis=0)
+    corr = np.zeros((n, n))
+    step = max(1, _CORR_CHUNK // (n * n))
+    for s in range(0, rows, step):
+        chunk = wx[s:s + step]
+        outer = chunk[:, :, None] * chunk[:, None, :]
+        outer[0] += corr
+        corr = outer.sum(axis=0)
     np.fill_diagonal(corr, 0.0)
+    sg_series, sb_series = [], []
+    if record_series:
+        sg_series = [float(row.sum()) for row in wx[:, good]]
+        sb = np.zeros(rows)
+        for i in bad:
+            sb = sb + wx[:, i]
+        sb_series = sb.tolist()
+    return dev, corr, sg_series, sb_series, wx[-1].tolist()
+
+
+def _close_epoch(cfg, opp, k, weights_in, w, bad, good, play, view_rng):
+    """The end of an epoch, for both ways of playing it: its statistics, each
+    viewer's frozen view, its epoch_advance, the consensus weights and the
+    invariant.  ``play`` is what ``_play_iterations`` returns."""
+    import numpy as np
+
+    p = cfg.params
+    n, f = p.n, p.f
+    sigma, x, raw, lam, hideable, natural_end_at, unanimous = play
+    dev, corr, sg_series, sb_series, final_wx = _epoch_stats(x, w, good, bad, cfg.record_series)
 
     # frozen views: each viewer may miss the final write of the unforced
     # columns; corrupted viewers choose self-servingly.  Lists, read once
-    final_wx = (w * np.array(raw).clip(-x_max, x_max)).tolist()
     w_list, dev_list, corr_list = w.tolist(), dev.tolist(), corr.tolist()
     locals_ = {}
     for pid in range(n):
@@ -492,22 +462,11 @@ def _close_epoch(p, opp, k, weights_in, w, bad, played, view_rng):
     cons, _ = reconcile_weights(locals_, w, p)
     lhs, rhs = weight_loss(cons, bad, p.eps, p.f)
     return EpochReport(
-        epoch=k,
-        weights_in=list(weights_in),
-        weights_out=cons,
-        bad=bad,
-        iters_played=played.iters_played,
-        natural_end_at=played.natural_end_at,
-        unanimous_iters=played.unanimous_iters,
-        dev=dev,
-        corr=corr,
-        sg_series=played.sg_series,
-        sb_series=played.sb_series,
-        sigma_series=played.sigma_series,
-        inv_lhs=lhs,
-        inv_rhs=rhs,
-        inv_ok=lhs <= rhs + 1e-12,
-    )
+        epoch=k, weights_in=list(weights_in), weights_out=cons, bad=bad, iters_played=len(x),
+        natural_end_at=natural_end_at, unanimous_iters=unanimous, dev=dev, corr=corr,
+        sg_series=sg_series, sb_series=sb_series,
+        sigma_series=np.asarray(sigma).tolist() if cfg.record_series else [],
+        inv_lhs=lhs, inv_rhs=rhs, inv_ok=lhs <= rhs + 1e-12)
 
 
 def _adjusted_stats(dev, corr, final_wx, last_raw, last_lam, w, hidden, p):

@@ -433,14 +433,14 @@ def run_game_once(cfg: ExperimentConfig, seed: int) -> dict:
 
 def run_simplified_once(cfg: ExperimentConfig, seed: int) -> dict:
     sg = cfg.simple_game
-    result = run_simplified_game(sg, SIMPLE_ADVERSARIES[cfg.adversary](), seed, stop_on_loss=False)
-    pair = detect_pair(result.values) if result.rounds_played >= 2 else None
+    result = run_simplified_game(sg, SIMPLE_ADVERSARIES[cfg.adversary](), seed)
+    pair = detect_pair(result.values) if sg.T >= 2 else None
     return {
         "seed": seed,
         "mode": cfg.mode,
         "n": sg.n,
         "f": sg.f,
-        "rounds": result.rounds_played,
+        "rounds": sg.T,
         "survived": result.survived,
         "stopped_at": result.stopped_at,
         "pair": list(pair) if pair else None,

@@ -60,27 +60,22 @@ class SimpleGameConfig:
 
 @dataclass
 class SimpleGameResult:
-    values: np.ndarray  # rounds_played x n, entries in {-1, +1}
+    values: np.ndarray  # T x n, entries in {-1, +1}
     directions: np.ndarray
     bad: frozenset
     stopped_at: int | None  # first round (1-based) the outcome defied sigma, if any
-    rounds_played: int
 
     @property
     def survived(self) -> bool:
         return self.stopped_at is None
 
 
-def run_simplified_game(
-    cfg: SimpleGameConfig, adversary, seed: int, *, stop_on_loss: bool = True
-) -> SimpleGameResult:
-    """Play up to T rounds: good players flip fair coins, the adversary sees them
-    and fills in the bad players' values, and the game continues while the
-    outcome sgn(sum) matches the adversary's direction.
-
-    With ``stop_on_loss=False`` all T rounds are recorded regardless and
-    ``stopped_at`` reports where the game would have ended; detection tests
-    condition on a full record.
+def run_simplified_game(cfg: SimpleGameConfig, adversary, seed: int) -> SimpleGameResult:
+    """Play T rounds: good players flip fair coins, the adversary sees them
+    and fills in the bad players' values.  The game would continue while the
+    outcome sgn(sum) matches the adversary's direction; all T rounds are
+    recorded regardless, as detection conditions on a full record, and
+    ``stopped_at`` reports where the game would have ended.
     """
     import numpy as np
 
@@ -94,7 +89,6 @@ def run_simplified_game(
     values = np.zeros((T, n), dtype=np.int64)
     directions = np.zeros(T, dtype=np.int64)
     stopped_at = None
-    played = 0
     for t in range(T):
         sigma = adversary.direction(t, adv_rng)
         row = np.zeros(n, dtype=np.int64)
@@ -104,12 +98,9 @@ def run_simplified_game(
             row[i] = v
         values[t] = row
         directions[t] = sigma
-        played = t + 1
         if sgn(int(row.sum())) != sigma and stopped_at is None:
             stopped_at = t + 1
-            if stop_on_loss:
-                break
-    return SimpleGameResult(values[:played], directions[:played], bad, stopped_at, played)
+    return SimpleGameResult(values, directions, bad, stopped_at)
 
 
 def detect_pair(values) -> tuple[int, int]:

@@ -207,14 +207,18 @@ def random_graph(rng, n_max=8, cap_scale=1.0, p_edge=0.55, p_self=0.35, p_inf=0.
 def reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record_series):
     """The epoch game's iteration loop for an opponent that never reads the
     good flips (honest-random, crash-stop, colluding): the reference for
-    ``game._play_whole_epoch``.  Every good process draws its column with one
-    ``integers`` call per iteration on its own generator in ``flip_rngs``;
-    the opponent draws sigma(t), then the colluding leader's column, on
-    ``adv_rng``.  Returns the fields of ``game._Played`` as a dict."""
+    ``game._whole_epoch_draws`` and ``game._epoch_stats``.  Every good
+    process draws its column with one ``integers`` call per iteration on its
+    own generator in ``flip_rngs``; the opponent draws sigma(t), then the
+    colluding leader's column, on ``adv_rng``.  Returns a dict: ``play``,
+    the epoch as ``game._close_epoch`` takes it, the last iteration's
+    ``raw`` and ``lam``, and the loop's own ``dev``, ``corr`` (zero
+    diagonal) and series."""
     n, m, T, x_max = p.n, p.m, p.T, p.x_max
     good_ix = np.array(good)
     dev = np.zeros(n)
     corr = np.zeros((n, n))
+    sigmas, xs = [], []
     sg_series, sb_series, sigma_series = [], [], []
     for _t in range(T):
         sigma = int(adv_rng.integers(0, 2)) * 2 - 1
@@ -233,15 +237,18 @@ def reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record_series
         wx = w * x
         dev += wx**2
         corr += np.outer(wx, wx)
+        sigmas.append(sigma)
+        xs.append(x)
         if record_series:
             sg_series.append(sg)
             sb_series.append(float(sum(wx[i] for i in bad)))
             sigma_series.append(sigma)
+    np.fill_diagonal(corr, 0.0)
     # every column is full, so no view can miss a write: no hideable column,
     # every iteration unanimous and no natural end
-    return dict(iters_played=T, natural_end_at=None, unanimous_iters=T, dev=dev, corr=corr,
-                sg_series=sg_series, sb_series=sb_series, sigma_series=sigma_series,
-                raw=raw, lam=lam, hideable=[])
+    return dict(play=(sigmas, np.array(xs), raw, lam, [], None, T), raw=raw, lam=lam,
+                dev=dev, corr=corr, sg_series=sg_series, sb_series=sb_series,
+                sigma_series=sigma_series)
 
 
 def final_state(world, strategy):

@@ -150,7 +150,7 @@ def test_criterion_05_simplified_game_detection():
     assert cfg.f == 5
     hits = 0
     for seed in range(200):
-        res = run_simplified_game(cfg, SimpleColluding(), seed, stop_on_loss=False)
+        res = run_simplified_game(cfg, SimpleColluding(), seed)
         pair = detect_pair(res.values)
         hits += bool(set(pair) & res.bad)
     elapsed = time.time() - t0

@@ -344,7 +344,7 @@ def test_whole_epoch_play_matches_reference_loop(opponent):
     import itertools
 
     from bftsim.game import (
-        GAME_OPPONENTS, FlipStream, _close_epoch, _Played, _play_whole_epoch, _whole_epoch_draws,
+        GAME_OPPONENTS, FlipStream, _close_epoch, _epoch_stats, _whole_epoch_draws,
     )
     from oracles import reference_epoch
 
@@ -371,17 +371,21 @@ def test_whole_epoch_play_matches_reference_loop(opponent):
         for ep in report.epochs:
             w = np.asarray(weights, dtype=float)
             want = reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record)
-            got = _play_whole_epoch(cfg, p, w, bad, good, next(draws))
-            assert np.asarray(got.raw).tobytes() == np.array(want["raw"], dtype=np.int64).tobytes()
-            assert np.asarray(got.lam).tobytes() == np.array(want["lam"], dtype=np.int64).tobytes()
-            assert got.dev.tobytes() == want["dev"].tobytes()
-            assert got.corr.tobytes() == want["corr"].tobytes()
-            rep = _close_epoch(p, opp, ep.epoch, weights, w, bad, _Played(**want), view_rng)
-            assert ep.dev.tobytes() == rep.dev.tobytes()
-            assert ep.corr.tobytes() == rep.corr.tobytes()
-            assert _hexes(ep.sg_series) == _hexes(rep.sg_series) == _hexes(got.sg_series)
-            assert _hexes(ep.sb_series) == _hexes(rep.sb_series) == _hexes(got.sb_series)
-            assert ep.sigma_series == rep.sigma_series == got.sigma_series
+            sigma, x, raw, lam = next(draws)
+            dev, corr, sg_series, sb_series, _ = _epoch_stats(x, w, good, bad, record)
+            assert np.asarray(raw).tobytes() == np.array(want["raw"], dtype=np.int64).tobytes()
+            assert np.asarray(lam).tobytes() == np.array(want["lam"], dtype=np.int64).tobytes()
+            assert dev.tobytes() == want["dev"].tobytes()
+            assert corr.tobytes() == want["corr"].tobytes()
+            rep = _close_epoch(cfg, opp, ep.epoch, weights, w, bad, good, want["play"], view_rng)
+            assert ep.dev.tobytes() == rep.dev.tobytes() == want["dev"].tobytes()
+            assert ep.corr.tobytes() == rep.corr.tobytes() == want["corr"].tobytes()
+            assert (_hexes(ep.sg_series) == _hexes(rep.sg_series) == _hexes(sg_series)
+                    == _hexes(want["sg_series"]))
+            assert (_hexes(ep.sb_series) == _hexes(rep.sb_series) == _hexes(sb_series)
+                    == _hexes(want["sb_series"]))
+            assert (ep.sigma_series == rep.sigma_series == (sigma.tolist() if record else [])
+                    == want["sigma_series"])
             assert len(ep.sigma_series) == (T if record else 0)
             assert _hexes(ep.weights_out) == _hexes(rep.weights_out)
             assert (ep.iters_played, ep.unanimous_iters, ep.natural_end_at) == (T, T, None)
@@ -413,7 +417,7 @@ def test_batched_epochs_match_reference_loop_across_draws_and_a_restart(monkeypa
     # 5 plays.  Every epoch equals the reference loop, one integers() call per
     # column and per move, plus the epoch close, bit for bit
     from bftsim import game
-    from bftsim.game import GAME_OPPONENTS, _close_epoch, _Played
+    from bftsim.game import GAME_OPPONENTS, _close_epoch
     from oracles import reference_epoch
 
     n, f, m, seed = 5, 1, 7, 96001
@@ -436,13 +440,13 @@ def test_batched_epochs_match_reference_loop_across_draws_and_a_restart(monkeypa
     for ep in report.epochs:
         w = np.asarray(weights, dtype=float)
         want = reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record)
-        rep = _close_epoch(p, opp, ep.epoch, weights, w, bad, _Played(**want), view_rng)
+        rep = _close_epoch(cfg, opp, ep.epoch, weights, w, bad, good, want["play"], view_rng)
         assert _hexes(ep.weights_in) == _hexes(rep.weights_in)
-        assert ep.dev.tobytes() == rep.dev.tobytes()
-        assert ep.corr.tobytes() == rep.corr.tobytes()
-        assert _hexes(ep.sg_series) == _hexes(rep.sg_series)
-        assert _hexes(ep.sb_series) == _hexes(rep.sb_series)
-        assert ep.sigma_series == rep.sigma_series
+        assert ep.dev.tobytes() == rep.dev.tobytes() == want["dev"].tobytes()
+        assert ep.corr.tobytes() == rep.corr.tobytes() == want["corr"].tobytes()
+        assert _hexes(ep.sg_series) == _hexes(rep.sg_series) == _hexes(want["sg_series"])
+        assert _hexes(ep.sb_series) == _hexes(rep.sb_series) == _hexes(want["sb_series"])
+        assert ep.sigma_series == rep.sigma_series == want["sigma_series"]
         assert len(ep.sigma_series) == (T if record else 0)
         assert _hexes(ep.weights_out) == _hexes(rep.weights_out)
         assert _hexes([ep.inv_lhs, ep.inv_rhs]) == _hexes([rep.inv_lhs, rep.inv_rhs])
@@ -476,6 +480,93 @@ def test_whole_epochs_are_drawn_within_the_flip_budget(monkeypatch, m, T, epochs
     for r in rows:
         assert r % T == 0 and r >= T
         assert r == T or r * m <= game._FLIP_BUDGET
+
+
+def _loop_stats(x, w, good, bad):
+    """The statistics as the counteract iteration loop accumulated them, one
+    row of ``x`` at a time from zeros.  The good entries of a row do not
+    change when the bad columns are written, so sg reads the whole row."""
+    n = x.shape[1]
+    good_ix = np.array(good)
+    dev, corr = np.zeros(n), np.zeros((n, n))
+    sg_series, sb_series = [], []
+    for row in x:
+        sg_series.append(float((w * row)[good_ix].sum()))
+        wx = w * row
+        sb_series.append(float(sum(wx[i] for i in bad)))
+        dev += wx**2
+        corr += np.outer(wx, wx)
+    np.fill_diagonal(corr, 0.0)
+    return dev, corr, sg_series, sb_series, wx.tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 42))
+def test_epoch_stats_match_the_iteration_loop(n):
+    # the one statistics pass against the per-iteration loop it replaced for
+    # counteract, bit for bit, on seeded clipped column sums: a one-row epoch
+    # (a natural end at t = 1), one corr chunk exactly, row counts off a
+    # multiple of the chunk, and the benchmark's T.  Column 0 has weight 0
+    # and only negative sums and column 1 only positive ones, so their
+    # products are -0.0, which the loop's zeros turn into 0.0
+    from bftsim.game import _CORR_CHUNK, _epoch_stats
+
+    rng = np.random.default_rng(97000 + n)
+    step = max(1, _CORR_CHUNK // (n * n))
+    x_max = 5.5
+    bad = frozenset(int(i) for i in rng.choice(np.arange(1, n), size=(n - 1) // 4, replace=False))
+    good = [i for i in range(n) if i not in bad]
+    for rows in (1, step, step + 1, 2 * step + 3, 256):
+        x = rng.integers(-8, 9, size=(rows, n)).astype(float).clip(-x_max, x_max)
+        x[:, 0] = -rng.integers(1, 9, size=rows)
+        x[:, 1] = rng.integers(1, 9, size=rows)
+        w = rng.uniform(0.0, 1.0, size=n)
+        w[0] = 0.0
+        w[rng.random(n) < 0.2] = 0.0
+        assert np.signbit(w * x).any() and ((w * x) == 0).any()
+        want = _loop_stats(x, w, good, bad)
+        for record in (True, False):
+            dev, corr, sg_series, sb_series, last = _epoch_stats(x, w, good, bad, record)
+            assert dev.tobytes() == want[0].tobytes(), (rows, record)
+            assert corr.tobytes() == want[1].tobytes(), (rows, record)
+            assert _hexes(sg_series) == (_hexes(want[2]) if record else [])
+            assert _hexes(sb_series) == (_hexes(want[3]) if record else [])
+            assert _hexes(last) == _hexes(want[4])
+
+
+_HEAP_GAMES = """
+import resource
+from bftsim.game import GameConfig, run_game
+from bftsim.params import ProtocolParams
+
+p = ProtocolParams(n=9, f=2, eps=0.5, m=8, T=256, c=1)
+def play(seed):
+    run_game(GameConfig(params=p, adversary="colluding", epochs=5, seed=seed,
+                        record_series=False))
+for seed in range(20):
+    play(seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(20, 120):
+    play(seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+
+
+def test_colluding_games_fault_in_no_fresh_heap_pages():
+    # benchmark-shaped colluding games after a warm-up, in a fresh
+    # interpreter: a per-game temporary that lets glibc trim the top of the
+    # heap makes every later game fault its pages back in (about 90 minor
+    # faults a game with _CORR_CHUNK = 1 << 15, against none at 1 << 13)
+    import os
+    import subprocess
+    import sys
+
+    pytest.importorskip("resource")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    res = subprocess.run([sys.executable, "-c", _HEAP_GAMES], capture_output=True, text=True,
+                         env=env, cwd=root, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) < 10
 
 
 # (opponent, params, epochs, seed): each opponent's frozen views; the c=1

@@ -45,13 +45,15 @@ def test_simple_game_config_fault_budget():
 
 def test_all_good_game_mean_stop_near_two():
     # with no bad players the continue probability is 1/2 per round:
-    # E[rounds played to first loss] = 2 exactly; Monte Carlo band [1.8, 2.2]
-    cfg = SimpleGameConfig(n=9, T=64, eps=1.0)
+    # E[rounds played to first loss] = 2 exactly; Monte Carlo band [1.8, 2.2].
+    # Every game records all T rounds, and T = 16 caps the mean at
+    # 2 (1 - 2^-16), well inside the band
+    cfg = SimpleGameConfig(n=9, T=16, eps=1.0)
     total = 0
     runs = 10_000
     for seed in range(runs):
         res = run_simplified_game(cfg, SimpleHonest(), seed)
-        total += res.rounds_played if res.stopped_at else cfg.T
+        total += res.stopped_at or cfg.T
     mean = total / runs
     assert 1.8 <= mean <= 2.2
 
@@ -62,7 +64,8 @@ def test_continue_rule_marks_every_surviving_round():
     res = run_simplified_game(cfg, SimpleColluding(), seed=3)
     # every round before the stop satisfied sgn(sum) == sigma
     values = res.values
-    for t in range(res.rounds_played - (0 if res.survived else 1)):
+    assert len(values) == cfg.T
+    for t in range(res.stopped_at - 1 if res.stopped_at else cfg.T):
         s = int(values[t].sum())
         sig = res.directions[t]
         assert (1 if s >= 0 else -1) == sig
@@ -72,7 +75,7 @@ def test_sgn_zero_continues_only_on_plus():
     cfg = SimpleGameConfig(n=4, T=8, eps=1.0)  # f = 0: sums can hit 0
     for seed in range(200):
         res = run_simplified_game(cfg, SimpleHonest(), seed)
-        for t in range(res.rounds_played):
+        for t in range(res.stopped_at or cfg.T):  # up to the stop
             s = int(res.values[t].sum())
             continued = res.stopped_at is None or t + 1 < res.stopped_at
             if s == 0:
@@ -116,7 +119,7 @@ def test_counteract_detection_monte_carlo():
     hits = 0
     runs = 40
     for seed in range(runs):
-        res = run_simplified_game(cfg, SimpleCounteract(), seed, stop_on_loss=False)
+        res = run_simplified_game(cfg, SimpleCounteract(), seed)
         pair = detect_pair(res.values)
         hits += bool(set(pair) & res.bad)
     assert hits / runs >= 0.9
