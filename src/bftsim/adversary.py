@@ -242,67 +242,62 @@ def random_bad_set(n, f, rng):
     return frozenset(int(i) for i in rng.choice(n, size=f, replace=False))
 
 
-class SimpleGameAdversary:
-    """Opponent interface for the unweighted game: pick the bad set, commit a
-    direction each round (a fair draw, by default), then fill in bad values
-    after seeing good flips; every opponent defines ``bad_values``."""
-
-    pick_bad = staticmethod(random_bad_set)
-
-    def direction(self, t, rng) -> int:
-        return int(rng.integers(0, 2)) * 2 - 1
-
-
-class SimpleHonest(SimpleGameAdversary):
+class SimpleHonest:
     """No bad players at all (the f slots flip fair coins)."""
 
     name = "simple-honest"
 
-    def direction(self, t, rng) -> int:
-        return 1
+    def moves(self, good_sums, bad, rng):
+        import numpy as np
 
-    def bad_values(self, t, sigma, row, bad, rng):
-        return {i: int(rng.integers(0, 2)) * 2 - 1 for i in bad}
+        # one draw per round and bad player, in the order ``bad`` iterates,
+        # which is not always sorted order
+        flips = rng.integers(0, 2, size=(len(good_sums), len(bad))) * 2 - 1
+        return np.ones(len(good_sums), dtype=np.int64), flips[:, np.argsort(list(bad))]
 
 
-class SimpleCounteract(SimpleGameAdversary):
+class SimpleCounteract:
     """Minimal-offset counteracting: pad to zero-ish when the good sum already
     points the right way, otherwise push just past the deficit, rotating which
     bad players push."""
 
     name = "simple-counteract"
 
-    def bad_values(self, t, sigma, row, bad, rng):
-        bad_list = sorted(bad)
-        f = len(bad_list)
+    def moves(self, good_sums, bad, rng):
+        import numpy as np
+
+        T, f = len(good_sums), len(bad)
+        sigma = rng.integers(0, 2, size=T) * 2 - 1
         if not f:
-            return {}
-        good_sum = int(row.sum())
+            return sigma, np.zeros((T, 0), dtype=np.int64)
         # sgn(0) = +1: sigma=+1 needs S >= 0, sigma=-1 needs S <= -1
-        need = -sigma * good_sum + (1 if sigma == -1 else 0)
-        target = max(need, f % 2)  # smallest achievable |sum| has the parity of f
-        if (target - f) % 2:
-            target += 1
-        target = min(target, f)  # best effort beyond capacity
+        need = -sigma * good_sums + (sigma == -1)
+        target = np.maximum(need, f % 2)  # smallest achievable |sum| has the parity of f
+        target += (target - f) % 2
+        target = np.minimum(target, f)  # best effort beyond capacity
         pushers = (target + f) // 2
-        rot = t % f
-        out = {}
-        for idx, i in enumerate(bad_list):
-            role = (idx + rot) % f
-            out[i] = sigma if role < pushers else -sigma
-        return out
+        role = (np.arange(f) + np.arange(T)[:, None]) % f
+        return sigma, np.where(role < pushers[:, None], sigma[:, None], -sigma[:, None])
 
 
-class SimpleColluding(SimpleGameAdversary):
+class SimpleColluding:
     """Colluding-counteract: every bad player copies the leader, and the leader
     always plays the adversarial direction (maximal joint push)."""
 
     name = "simple-colluding"
 
-    def bad_values(self, t, sigma, row, bad, rng):
-        return {i: sigma for i in bad}
+    def moves(self, good_sums, bad, rng):
+        import numpy as np
+
+        sigma = rng.integers(0, 2, size=len(good_sums)) * 2 - 1
+        return sigma, np.broadcast_to(sigma[:, None], (len(sigma), len(bad)))
 
 
+# A simplified-game opponent has a ``name`` and one method, ``moves(good_sums,
+# bad, rng)``.  It sees the T rounds' good sums and the bad set, and returns
+# the directions of all T rounds (each +1 or -1) and the bad values as a
+# (T, f) array whose columns follow ``sorted(bad)``.  ``rng`` is the
+# adversary's generator, just past the draw of ``bad``.
 SIMPLE_ADVERSARIES = {
     cls.name: cls
     for cls in (SimpleHonest, SimpleCounteract, SimpleColluding)

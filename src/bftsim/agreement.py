@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blackboard import ACK, LAST, VOTE, WRITE, BlackboardNode, FinalView
 from .broadcast import RBNode, ValidationLedger
@@ -359,39 +359,29 @@ class BrachaProcess(_BoardProcess):
         return True
 
 
-@dataclass
-class AgreementVerdict:
-    agreement_ok: bool
-    validity_ok: bool | None  # None: the good inputs are not unanimous, validity does not apply
-    lag_ok: bool
-    violations: list = field(default_factory=list)
-
-
-def check_agreement(inputs, decisions, good_pids) -> AgreementVerdict:
-    """Safety verdict over the good processes: Agreement, Validity, and the
+def check_agreement(inputs, decisions, good_pids) -> dict:
+    """Safety verdicts over the good processes: Agreement, Validity, and the
     one-iteration decision lag.  Liveness is the caller's to judge.
 
     ``inputs`` maps pid -> input value and ``decisions`` maps pid ->
-    DecisionRecord for processes that decided.  Validity applies when every
-    good process's input is known and all are equal.
+    DecisionRecord for processes that decided.  Violations by verdict name;
+    ``bracha-validity`` is present only when every good process's input is
+    known and all are equal.
     """
-    violations = []
     good_decs = [decisions[p] for p in good_pids if p in decisions]
     values = {d.value for d in good_decs}
-    agreement_ok = len(values) <= 1
-    if not agreement_ok:
-        violations.append("agreement: good processes decided different values")
-    validity_ok = None
+    found = {"bracha-agreement": []}
+    if len(values) > 1:
+        found["bracha-agreement"].append("agreement: good processes decided different values")
     good_inputs = {inputs.get(p) for p in good_pids}
     if len(good_inputs) == 1 and None not in good_inputs:
-        validity_ok = values <= good_inputs
-        if not validity_ok:
+        found["bracha-validity"] = []
+        if not values <= good_inputs:
             (want,) = good_inputs
-            violations.append(f"validity: unanimous input {want} but decided {values}")
-    lag_ok = True
+            found["bracha-validity"].append(f"validity: unanimous input {want} but decided {values}")
+    found["decision-lag"] = []
     if good_decs:
         its = [d.iteration for d in good_decs]
         if max(its) - min(its) > 1:
-            lag_ok = False
-            violations.append(f"decision lag {max(its) - min(its)} > 1")
-    return AgreementVerdict(agreement_ok, validity_ok, lag_ok, violations)
+            found["decision-lag"].append(f"decision lag {max(its) - min(its)} > 1")
+    return found

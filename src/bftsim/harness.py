@@ -221,7 +221,7 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
     }
     live = [pid for pid in good if pid not in starved]
     finished = bool(live) and all(pid in decisions for pid in live)
-    verdict = check_agreement(dict(enumerate(inputs)), decisions, good)
+    found = check_agreement(dict(enumerate(inputs)), decisions, good)
     return _record(cfg, seed, world, {
         "decided": finished,
         "decide_iter_min": min((d.iteration for d in decisions.values()), default=-1),
@@ -230,10 +230,10 @@ def run_bracha_once(cfg: ExperimentConfig, seed: int) -> dict:
         "events": result.events,
         "chain_depth": result.chain_depth,
         "stopped": result.stopped,
-        "agreement_ok": verdict.agreement_ok,
-        "validity_ok": verdict.validity_ok is not False,
-        "lag_ok": verdict.lag_ok,
-        "violations": verdict.violations,
+        "agreement_ok": not found["bracha-agreement"],
+        "validity_ok": not found.get("bracha-validity"),
+        "lag_ok": not found["decision-lag"],
+        "violations": [v for vs in found.values() for v in vs],
         "corrupted": sorted(world.corrupted),
         "starved": sorted(starved),
     }, inputs, decisions)
@@ -662,11 +662,7 @@ def _verify_bundle(records, f):
         inputs = {r["pid"]: r["value"] for r in by_kind.get("input", [])}
         good = sorted((inputs.keys() | {r["pid"] for r in decides}) - corrupted)
         decisions = {r["pid"]: DecisionRecord(r["pid"], r["iteration"], r["value"]) for r in decides}
-        verdict = check_agreement(inputs, decisions, good)
-        out.append(Verdict("bracha-agreement", verdict.agreement_ok))
-        if verdict.validity_ok is not None:
-            out.append(Verdict("bracha-validity", verdict.validity_ok))
-        out.append(Verdict("decision-lag", verdict.lag_ok))
+        out += _named(check_agreement(inputs, decisions, good))
 
     if finals and f is not None:
         store = {(r["t"], r["r"], r["i"]): r["value"] for r in by_kind.get("cell", [])}

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ConfigInvalid, sgn
+from .adversary import random_bad_set
+from .params import ConfigInvalid
 
 
 def compute_stats(xs, weights):
@@ -72,34 +73,28 @@ class SimpleGameResult:
 
 def run_simplified_game(cfg: SimpleGameConfig, adversary, seed: int) -> SimpleGameResult:
     """Play T rounds: good players flip fair coins, the adversary sees them
-    and fills in the bad players' values.  The game would continue while the
-    outcome sgn(sum) matches the adversary's direction; all T rounds are
-    recorded regardless, as detection conditions on a full record, and
-    ``stopped_at`` reports where the game would have ended.
+    and fills in the bad players' values, all rounds in one ``moves`` call
+    (its contract is stated above ``adversary.SIMPLE_ADVERSARIES``).  The
+    game would continue while the outcome sgn(sum) matches the adversary's
+    direction; all T rounds are recorded regardless, as detection conditions
+    on a full record, and ``stopped_at`` reports where the game would have
+    ended.
     """
     import numpy as np
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC01F)))
     adv_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xADF)))
     n, f, T = cfg.n, cfg.f, cfg.T
-    bad = adversary.pick_bad(n, f, adv_rng)
+    bad = random_bad_set(n, f, adv_rng)
     good = [i for i in range(n) if i not in bad]
     good_flips = rng.integers(0, 2, size=(T, len(good))) * 2 - 1
-
-    values = np.zeros((T, n), dtype=np.int64)
-    directions = np.zeros(T, dtype=np.int64)
-    stopped_at = None
-    for t in range(T):
-        sigma = adversary.direction(t, adv_rng)
-        row = np.zeros(n, dtype=np.int64)
-        row[good] = good_flips[t]
-        bad_vals = adversary.bad_values(t, sigma, row, bad, adv_rng)
-        for i, v in bad_vals.items():
-            row[i] = v
-        values[t] = row
-        directions[t] = sigma
-        if sgn(int(row.sum())) != sigma and stopped_at is None:
-            stopped_at = t + 1
+    directions, bad_values = adversary.moves(good_flips.sum(axis=1), bad, adv_rng)
+    values = np.empty((T, n), dtype=np.int64)
+    values[:, good] = good_flips
+    values[:, sorted(bad)] = bad_values
+    # sgn(0) = +1
+    defied = np.flatnonzero(np.where(values.sum(axis=1) >= 0, 1, -1) != directions)
+    stopped_at = int(defied[0]) + 1 if defied.size else None
     return SimpleGameResult(values, directions, bad, stopped_at)
 
 
@@ -112,14 +107,7 @@ def detect_pair(values) -> tuple[int, int]:
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("need a rounds x n matrix with n >= 2")
     gram = arr.T @ arr
-    n = gram.shape[0]
-    best = None
-    best_val = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = gram[i, j]
-            if best_val is None or v > best_val:
-                best_val = v
-                best = (i, j)
-    return best
-
+    # row-major upper triangle: the first maximum is the smallest pair
+    rows, cols = np.triu_indices(gram.shape[0], 1)
+    k = int(np.argmax(gram[rows, cols]))
+    return int(rows[k]), int(cols[k])

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from bftsim.adversary import random_bad_set
 from bftsim.blackboard import FinalView
 from bftsim.matching import VertexSetMismatch, rising_tide
 
@@ -249,6 +250,64 @@ def reference_epoch(opponent, p, w, bad, good, flip_rngs, adv_rng, record_series
     return dict(play=(sigmas, np.array(xs), raw, lam, [], None, T), raw=raw, lam=lam,
                 dev=dev, corr=corr, sg_series=sg_series, sb_series=sb_series,
                 sigma_series=sigma_series)
+
+
+def reference_simplified_game(cfg, opponent, seed):
+    """The simplified game one round at a time: the reference for
+    ``stats.run_simplified_game`` and its opponents' ``moves``.  Each round
+    the opponent named ``opponent`` commits a direction (+1 for
+    simple-honest, else one ``integers`` draw), then sets the bad values
+    after seeing the round's good flips, visiting ``bad`` in the order the
+    frozenset iterates; simple-honest draws each value there.  Returns
+    (values, directions, bad, stopped_at)."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC01F)))
+    adv_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xADF)))
+    n, f, T = cfg.n, cfg.f, cfg.T
+    bad = random_bad_set(n, f, adv_rng)
+    good = [i for i in range(n) if i not in bad]
+    good_flips = rng.integers(0, 2, size=(T, len(good))) * 2 - 1
+    values = np.zeros((T, n), dtype=np.int64)
+    directions = np.zeros(T, dtype=np.int64)
+    stopped_at = None
+    for t in range(T):
+        sigma = 1 if opponent == "simple-honest" else int(adv_rng.integers(0, 2)) * 2 - 1
+        row = np.zeros(n, dtype=np.int64)
+        row[good] = good_flips[t]
+        if opponent == "simple-honest":
+            bad_vals = {i: int(adv_rng.integers(0, 2)) * 2 - 1 for i in bad}
+        elif opponent == "simple-colluding":
+            bad_vals = {i: sigma for i in bad}
+        else:
+            bad_vals = {}
+            good_sum = int(row.sum())
+            # sgn(0) = +1: sigma=+1 needs S >= 0, sigma=-1 needs S <= -1
+            need = -sigma * good_sum + (1 if sigma == -1 else 0)
+            target = max(need, f % 2)
+            if (target - f) % 2:
+                target += 1
+            target = min(target, f)
+            pushers = (target + f) // 2
+            for idx, i in enumerate(sorted(bad)):
+                bad_vals[i] = sigma if (idx + t % f) % f < pushers else -sigma
+        for i, v in bad_vals.items():
+            row[i] = v
+        values[t] = row
+        directions[t] = sigma
+        if (1 if row.sum() >= 0 else -1) != sigma and stopped_at is None:
+            stopped_at = t + 1
+    return values, directions, bad, stopped_at
+
+
+def reference_detect_pair(values):
+    """The pair (i, j), i < j, of largest column inner product, the first
+    in a scan over i, then j: the reference for ``stats.detect_pair``."""
+    gram = np.asarray(values).T @ np.asarray(values)
+    best, best_val = None, None
+    for i in range(gram.shape[0]):
+        for j in range(i + 1, gram.shape[0]):
+            if best_val is None or gram[i, j] > best_val:
+                best, best_val = (i, j), gram[i, j]
+    return best
 
 
 def final_state(world, strategy):

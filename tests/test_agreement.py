@@ -361,20 +361,19 @@ def test_golden_weight_path_digest():
 def test_check_agreement_flags_divergence():
     decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 1, -1)}
     v = check_agreement({0: 1, 1: 1}, decisions, [0, 1])
-    assert not v.agreement_ok
-    assert "agreement: good processes decided different values" in v.violations
+    assert "agreement: good processes decided different values" in v["bracha-agreement"]
 
 
 def test_check_agreement_validity():
     decisions = {0: DecisionRecord(0, 1, -1), 1: DecisionRecord(1, 1, -1)}
     v = check_agreement({0: 1, 1: 1}, decisions, [0, 1])
-    assert v.agreement_ok and v.validity_ok is False
+    assert not v["bracha-agreement"] and v["bracha-validity"]
 
 
 def test_check_agreement_lag():
     decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 3, 1)}
     v = check_agreement({0: 1, 1: -1}, decisions, [0, 1])
-    assert not v.lag_ok
+    assert v["decision-lag"]
 
 
 def test_check_agreement_lag_with_undecided_process():
@@ -382,16 +381,15 @@ def test_check_agreement_lag_with_undecided_process():
     # another good process has not decided yet
     decisions = {0: DecisionRecord(0, 1, 1), 1: DecisionRecord(1, 4, 1)}
     v = check_agreement({0: 1, 1: -1, 2: 1}, decisions, [0, 1, 2])
-    assert not v.lag_ok
-    assert "decision lag 3 > 1" in v.violations
+    assert "decision lag 3 > 1" in v["decision-lag"]
 
 
 def test_check_agreement_judges_safety_only():
     # no decision yet is no safety violation: liveness is the runner's to judge
     v = check_agreement({0: 1, 1: -1}, {}, [0, 1])
-    assert v.agreement_ok and v.lag_ok and v.violations == []
-    assert v.validity_ok is None  # mixed inputs: validity does not apply
-    assert check_agreement({0: 1, 1: 1}, {}, [0, 1]).validity_ok is True
+    # mixed inputs: validity does not apply, so it has no verdict
+    assert v == {"bracha-agreement": [], "decision-lag": []}
+    assert check_agreement({0: 1, 1: 1}, {}, [0, 1])["bracha-validity"] == []
 
 
 def test_bracha_record_reports_non_termination_without_a_violation():

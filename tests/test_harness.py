@@ -697,19 +697,21 @@ def test_injected_decision_faults_fail_both_checks(monkeypatch):
     decisions = {h.pid: DecisionRecord(h.pid, h.decided_iteration, h.decided) for h in good}
     pids = sorted(inputs)
     assert rec["corrupted"] == [4] and {d.value for d in decisions.values()} == {1}
-    assert check_agreement(inputs, decisions, pids).violations == []
+    assert not any(check_agreement(inputs, decisions, pids).values())
     assert not rec["violations"] and all(v.ok for v in verify_trace(rec["trace"], f=1))
 
     # one decide value flipped
     flipped = dict(decisions)
     flipped[0] = DecisionRecord(0, decisions[0].iteration, -1)
-    assert not check_agreement(inputs, flipped, pids).agreement_ok
+    assert check_agreement(inputs, flipped, pids)["bracha-agreement"]
     trace = [dict(r, value=-1) if r["rec"] == "decide" and r["pid"] == 0 else r
              for r in rec["trace"]]
     assert _failed(trace, 1, "bracha-agreement")
+    (agreement,) = [v for v in verify_trace(trace, f=1) if v.name == "bracha-agreement"]
+    assert agreement.detail == "agreement: good processes decided different values"
 
     # good process 3's input flipped: the good inputs become unanimously -1
-    assert check_agreement({**inputs, 3: -1}, decisions, pids).validity_ok is False
+    assert check_agreement({**inputs, 3: -1}, decisions, pids)["bracha-validity"]
     trace = [dict(r, value=-1) if r["rec"] == "input" and r["pid"] == 3 else r
              for r in rec["trace"]]
     assert _failed(trace, 1, "bracha-validity")

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from bftsim.adversary import SimpleColluding, SimpleCounteract, SimpleHonest
+from bftsim.adversary import SIMPLE_ADVERSARIES, SimpleColluding, SimpleCounteract, SimpleHonest
 from bftsim.stats import (
     SimpleGameConfig,
     compute_stats,
@@ -46,9 +47,9 @@ def test_simple_game_config_fault_budget():
 def test_all_good_game_mean_stop_near_two():
     # with no bad players the continue probability is 1/2 per round:
     # E[rounds played to first loss] = 2 exactly; Monte Carlo band [1.8, 2.2].
-    # Every game records all T rounds, and T = 16 caps the mean at
-    # 2 (1 - 2^-16), well inside the band
-    cfg = SimpleGameConfig(n=9, T=16, eps=1.0)
+    # Every game records all T rounds, and T = 64 caps the mean at
+    # 2 (1 - 2^-64), well inside the band
+    cfg = SimpleGameConfig(n=9, T=64, eps=1.0)
     total = 0
     runs = 10_000
     for seed in range(runs):
@@ -80,6 +81,46 @@ def test_sgn_zero_continues_only_on_plus():
             continued = res.stopped_at is None or t + 1 < res.stopped_at
             if s == 0:
                 assert continued == (res.directions[t] == 1)
+
+
+# (n, T, eps, seeds): unsorted-iterating bad sets at n=9 and n=12, f=0 at
+# n=4, the smallest game, eps < 1, and the criterion-05 shape
+_REFERENCE_SHAPES = [
+    (9, 40, 1.0, range(20)),
+    (12, 40, 1.0, range(20)),
+    (4, 30, 1.0, range(10)),
+    (2, 1, 1.0, range(10)),
+    (30, 50, 0.5, range(10)),
+    (20, 4000, 1.0, range(3)),
+]
+
+
+@pytest.mark.parametrize("opponent", sorted(SIMPLE_ADVERSARIES))
+def test_simplified_game_matches_reference_loop(opponent):
+    from oracles import reference_simplified_game
+
+    unsorted = 0
+    for n, T, eps, seeds in _REFERENCE_SHAPES:
+        cfg = SimpleGameConfig(n=n, T=T, eps=eps)
+        for seed in seeds:
+            res = run_simplified_game(cfg, SIMPLE_ADVERSARIES[opponent](), seed)
+            values, directions, bad, stopped_at = reference_simplified_game(cfg, opponent, seed)
+            assert res.values.dtype == values.dtype and (res.values == values).all()
+            assert (res.directions == directions).all()
+            assert res.bad == bad and res.stopped_at == stopped_at
+            unsorted += list(bad) != sorted(bad)
+    assert unsorted >= 10  # the column order of the bad values is exercised
+
+
+def test_detect_pair_matches_pair_loop():
+    from oracles import reference_detect_pair
+
+    rng = np.random.default_rng(26)
+    for T in (1, 2, 3):
+        for n in range(2, 31):
+            for _ in range(5):
+                values = rng.integers(0, 2, size=(T, n)) * 2 - 1
+                assert detect_pair(values) == reference_detect_pair(values)
 
 
 def test_detect_pair_identical_sequences():
